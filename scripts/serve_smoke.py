@@ -462,7 +462,7 @@ def check_shutdown(proc: subprocess.Popen, metrics_path: Path, burst: dict):
 
     dump = json.loads(metrics_path.read_text())
     counters = dump["metrics"]["counters"]
-    batch = dump["metrics"]["summaries"]["serve.batch_size"]
+    batch = dump["metrics"]["histograms"]["serve.batch_size"]
     assert counters["serve.place.accepted"] == burst["accepted"]
     assert batch["p50"] > 1, (
         f"serve.batch_size p50={batch['p50']} — the burst never coalesced"

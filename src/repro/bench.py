@@ -266,7 +266,7 @@ def run_serve_bench(
         # The daemon instruments the whole process while it runs, so its
         # registry is readable here — before shutdown restores state.
         latency = OBS.registry.histogram("serve.place.seconds").as_dict()
-        batch = OBS.registry.summaries.get("serve.batch_size")
+        batch = OBS.registry.histograms.get("serve.batch_size")
         batch_p50 = batch.percentile(50.0) if batch is not None else 0.0
         accepted = OBS.registry.counter("serve.place.accepted").value
         shutdown.set()

@@ -129,6 +129,26 @@ class _LazyOutput:
             self._file = None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one ``repro-mc: error: ...`` line
+    (exit 2) instead of the multi-line usage block."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        )
+    return value
+
+
 class _VersionAction(argparse.Action):
     """Like ``action="version"`` but resolves git describe lazily, so
     building the parser never shells out."""
@@ -144,7 +164,7 @@ class _VersionAction(argparse.Action):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro-mc",
         description=(
             "Criticality-aware partitioning for multicore mixed-criticality "
@@ -195,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action=_VersionAction)
     parser.add_argument(
         "--sets",
-        type=int,
+        type=_positive_int,
         default=500,
         help="random task sets per data point (paper: 50000; default 500)",
     )
@@ -265,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help=(
-            "write the merged instrumentation counters/summaries of the "
+            "write the merged instrumentation counters/histograms of the "
             "whole invocation to PATH as JSON"
         ),
     )

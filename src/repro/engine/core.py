@@ -35,7 +35,7 @@ from repro.gen.generator import generate_taskset
 from repro.gen.params import WorkloadConfig
 from repro.metrics.aggregate import SchemeAccumulator, SchemeStats
 from repro.obs import runtime as obs
-from repro.obs.metrics import Histogram, Summary
+from repro.obs.metrics import Histogram
 from repro.partition.backend import get_backend
 from repro.partition.probe import probe_implementation, use_probe_implementation
 from repro.types import ReproError
@@ -61,17 +61,11 @@ ProgressHook = Callable[[dict], None]
 class EngineRunStats:
     """Observability counters for one engine lifetime.
 
-    Shard timings are reported twice, bounded either way:
-
-    * ``shard_seconds`` — the legacy :class:`~repro.obs.Summary`
-      (reservoir p50/p95), kept for API back-compat.  Its percentiles
-      are **deprecated** in dumps: the reservoir decimates on long
-      sweeps and its merge is order-dependent.
-    * ``shard_seconds_hist`` — the exact log-bucket
-      :class:`~repro.obs.Histogram`: fixed global edges, so percentiles
-      are stable at ~1.78x bucket resolution and merges across worker
-      processes are exactly associative (pinned by a hypothesis
-      property in ``tests/engine/``).  Prefer these numbers.
+    Shard timings land in ``shard_seconds_hist``, an exact log-bucket
+    :class:`~repro.obs.Histogram`: fixed global edges, so percentiles
+    are stable at ``2**(1/8)`` (~9 %) bucket resolution and merges
+    across worker processes are exactly associative (pinned by a
+    hypothesis property in ``tests/engine/``).
     """
 
     points: int = 0
@@ -81,9 +75,6 @@ class EngineRunStats:
     shards_computed: int = 0
     compute_seconds: float = 0.0
     worker_retries: int = 0
-    shard_seconds: Summary = field(
-        default_factory=lambda: Summary("engine.shard_seconds")
-    )
     shard_seconds_hist: Histogram = field(
         default_factory=lambda: Histogram("engine.shard_seconds")
     )
@@ -97,7 +88,6 @@ class EngineRunStats:
             "shards_computed": self.shards_computed,
             "compute_seconds": self.compute_seconds,
             "worker_retries": self.worker_retries,
-            "shard_seconds": self.shard_seconds.as_dict(),
             "shard_seconds_hist": self.shard_seconds_hist.as_dict(),
         }
 
@@ -413,11 +403,9 @@ class Engine:
     def _record_shard(self, seconds: float) -> None:
         self.stats.shards_computed += 1
         self.stats.compute_seconds += seconds
-        self.stats.shard_seconds.observe(seconds)
         self.stats.shard_seconds_hist.observe(seconds)
         if obs.OBS.enabled:
             obs.counter("engine.shards_computed").inc()
-            obs.summary("engine.shard_seconds").observe(seconds)
             obs.histogram("engine.shard_seconds").observe(seconds)
 
     # -- shard execution ----------------------------------------------

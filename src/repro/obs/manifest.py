@@ -128,16 +128,6 @@ def load_manifest(path: Path | str) -> dict:
     return data
 
 
-def _format_summary_row(name: str, s: dict) -> str:
-    if not s["count"]:
-        return f"  {name:<40} (empty)"
-    return (
-        f"  {name:<40} n={s['count']:<8} total={s['total']:.4g} "
-        f"min={s['min']:.4g} p50={s['p50']:.4g} p95={s['p95']:.4g} "
-        f"max={s['max']:.4g}"
-    )
-
-
 def _format_histogram_row(name: str, h: dict) -> str:
     if not h["count"]:
         return f"  {name:<40} (empty)"
@@ -155,7 +145,7 @@ def format_manifest(manifest: dict, *, top: int = 20) -> str:
     """Human-readable rendering for ``repro-mc inspect``.
 
     Counters are sorted by value (descending) and truncated to ``top``
-    rows; summaries and histograms print their full bounded digests
+    rows; histograms print their full bounded digests
     (histogram rows include the overflow-bucket count when non-zero).
     """
     lines = [
@@ -199,9 +189,6 @@ def format_manifest(manifest: dict, *, top: int = 20) -> str:
             f"{engine.get('shards_computed', 0)} computed in "
             f"{engine.get('compute_seconds', 0.0):.2f}s"
         )
-        shard_seconds = engine.get("shard_seconds")
-        if shard_seconds:
-            lines.append(_format_summary_row("shard_seconds", shard_seconds))
         shard_hist = engine.get("shard_seconds_hist")
         if shard_hist:
             lines.append(
@@ -216,12 +203,6 @@ def format_manifest(manifest: dict, *, top: int = 20) -> str:
         ranked = sorted(counters.items(), key=lambda kv: (-kv[1], kv[0]))
         for name, value in ranked[:top]:
             lines.append(f"  {name:<52} {value:>12}")
-    summaries = metrics.get("summaries") or {}
-    if summaries:
-        lines.append("")
-        lines.append("Summaries")
-        for name in sorted(summaries):
-            lines.append(_format_summary_row(name, summaries[name]))
     histograms = metrics.get("histograms") or {}
     if histograms:
         lines.append("")

@@ -1,4 +1,4 @@
-"""Process-local metric primitives: counters and bounded summaries.
+"""Process-local metric primitives: counters and exact-merge histograms.
 
 Everything here is deliberately boring: plain Python objects with
 ``__slots__``, no locks (the library is single-threaded per process;
@@ -8,14 +8,11 @@ point — when instrumentation is disabled no object in this module is
 even touched (call sites guard on :data:`repro.obs.OBS` ``.enabled``),
 and when it is enabled a counter increment is one attribute add.
 
-:class:`Summary` is the bounded replacement for the old unbounded
-``EngineRunStats.shard_seconds`` list: exact ``count/total/min/max``
-plus approximate ``p50``/``p95`` from a decimating reservoir.  The
-reservoir keeps every ``stride``-th observation; when it fills, every
-other retained sample is dropped and the stride doubles, so memory stays
-at ``<= max_samples`` floats forever while the retained samples remain
-spread over the whole stream.  The policy is deterministic: two
-identical observation streams produce identical summaries.
+Every value stream — span seconds, request latencies, batch sizes,
+observed utilizations — goes into a :class:`Histogram`: fixed global
+edges ``2**(k/8)`` from about 6e-8 to 1024, so a reported percentile is
+at most 9.05 % above the exact nearest-rank value, and merges across
+processes, shards or time windows are exact integer additions.
 """
 
 from __future__ import annotations
@@ -23,29 +20,32 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-__all__ = ["Counter", "Summary", "Histogram", "MetricsRegistry", "HIST_EDGES"]
-
-#: Reservoir capacity of a :class:`Summary` (floats kept per summary).
-DEFAULT_MAX_SAMPLES = 512
+__all__ = ["Counter", "Histogram", "MetricsRegistry", "HIST_EDGES"]
 
 #: Log-spaced bucket-edge schema of every :class:`Histogram`:
-#: ``10**(k / PER_DECADE)`` for ``k`` in ``[MIN_EXP*PER_DECADE,
-#: MAX_EXP*PER_DECADE]``.  Edges are *fixed and global*, which is the
+#: ``2**(k / PER_OCTAVE)`` for ``k`` in ``[MIN_EXP*PER_OCTAVE,
+#: MAX_EXP*PER_OCTAVE]``.  Edges are *fixed and global*, which is the
 #: whole design: two histograms — from different processes, different
-#: runs, or different time-window buckets — merge by element-wise
-#: integer addition of their bucket counts, exactly and associatively.
-_HIST_MIN_EXP = -7  #: 100 ns resolution floor (seconds-denominated)
-_HIST_MAX_EXP = 3  #: 1000 s ceiling before the overflow bucket
-_HIST_PER_DECADE = 4  #: ~1.78x bucket width (10**0.25)
+#: runs, or different time-window buckets — merge by adding their bucket
+#: counts, exactly and associatively.  Powers of two are edges, so
+#: integer observations such as batch sizes 1, 2, 4, ... report exactly.
+_HIST_MIN_EXP = -24  #: ~60 ns resolution floor (seconds-denominated)
+_HIST_MAX_EXP = 10  #: 1024 s ceiling before the overflow bucket
+_HIST_PER_OCTAVE = 8  #: 2**(1/8) ~ 1.0905x bucket width
 
 HIST_EDGES: tuple[float, ...] = tuple(
-    10.0 ** (k / _HIST_PER_DECADE)
-    for k in range(_HIST_MIN_EXP * _HIST_PER_DECADE, _HIST_MAX_EXP * _HIST_PER_DECADE + 1)
+    2.0 ** (k / _HIST_PER_OCTAVE)
+    for k in range(
+        _HIST_MIN_EXP * _HIST_PER_OCTAVE, _HIST_MAX_EXP * _HIST_PER_OCTAVE + 1
+    )
 )
+
+#: Bucket index of observations past the last edge.
+_OVERFLOW = len(HIST_EDGES)
 
 #: Schema tag stored with every transferable histogram state; merging
 #: states with a different tag raises instead of silently mixing edges.
-HIST_SCHEMA = f"log10[{_HIST_MIN_EXP}:{_HIST_MAX_EXP}:{_HIST_PER_DECADE}]"
+HIST_SCHEMA = f"log2[{_HIST_MIN_EXP}:{_HIST_MAX_EXP}:{_HIST_PER_OCTAVE}]"
 
 
 class Counter:
@@ -64,143 +64,20 @@ class Counter:
         return f"<Counter {self.name}={self.value}>"
 
 
-class Summary:
-    """Bounded streaming summary of a float-valued observation stream.
-
-    Exact: ``count``, ``total``, ``min``, ``max``.  Approximate (from
-    the decimating reservoir): :meth:`percentile`.  Memory is bounded by
-    ``max_samples`` regardless of stream length.
-    """
-
-    __slots__ = (
-        "name",
-        "count",
-        "total",
-        "min",
-        "max",
-        "max_samples",
-        "_samples",
-        "_stride",
-        "_pending",
-    )
-
-    def __init__(self, name: str = "", max_samples: int = DEFAULT_MAX_SAMPLES):
-        if max_samples < 2:
-            raise ValueError(f"max_samples must be >= 2, got {max_samples}")
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-        self.max_samples = max_samples
-        self._samples: list[float] = []
-        self._stride = 1  #: keep every _stride-th observation
-        self._pending = 0  #: observations since the last kept sample
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self._pending += 1
-        if self._pending >= self._stride:
-            self._pending = 0
-            self._samples.append(value)
-            if len(self._samples) >= self.max_samples:
-                self._decimate()
-
-    def _decimate(self) -> None:
-        """Halve the reservoir and double the stride (bounded memory)."""
-        self._samples = self._samples[::2]
-        self._stride *= 2
-
-    def percentile(self, q: float) -> float:
-        """Approximate ``q``-th percentile (``0 <= q <= 100``); ``nan`` if empty.
-
-        Nearest-rank over the sorted reservoir — exact while the stream
-        still fits in the reservoir, approximate after decimation.
-        """
-        if not self._samples:
-            return float("nan")
-        ordered = sorted(self._samples)
-        rank = min(len(ordered) - 1, max(0, round(q / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else float("nan")
-
-    def as_dict(self) -> dict:
-        """The bounded reporting form: count/total/min/max/p50/p95."""
-        if self.count == 0:
-            return {
-                "count": 0,
-                "total": 0.0,
-                "min": None,
-                "max": None,
-                "p50": None,
-                "p95": None,
-            }
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "p50": self.percentile(50.0),
-            "p95": self.percentile(95.0),
-        }
-
-    def state(self) -> dict:
-        """Full transferable state (used for cross-process merging)."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "samples": list(self._samples),
-            "stride": self._stride,
-        }
-
-    def merge_state(self, state: dict) -> None:
-        """Fold another summary's :meth:`state` into this one.
-
-        Exact fields combine exactly; reservoirs concatenate at the
-        coarser stride and re-decimate to stay bounded.
-        """
-        if not state["count"]:
-            return
-        self.count += int(state["count"])
-        self.total += float(state["total"])
-        self.min = min(self.min, float(state["min"]))
-        self.max = max(self.max, float(state["max"]))
-        self._stride = max(self._stride, int(state["stride"]))
-        self._samples.extend(float(v) for v in state["samples"])
-        while len(self._samples) >= self.max_samples:
-            self._decimate()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Summary {self.name} n={self.count} total={self.total:.6g}>"
-
-
 class Histogram:
-    """Latency histogram over the fixed log-spaced :data:`HIST_EDGES`.
+    """Value-stream histogram over the fixed log-spaced :data:`HIST_EDGES`.
 
-    The complement of :class:`Summary`: a ``Summary`` keeps a bounded
-    *reservoir* (approximate percentiles that decay as the stream grows,
-    merges that depend on merge order), a ``Histogram`` keeps *bucket
-    counts* over globally fixed edges — percentiles quantized to bucket
-    resolution (~1.78x) but **merges are exact and associative**: any
-    grouping of the same observations into processes, shards, or time
-    windows produces identical bucket counts (pinned by a hypothesis
-    property in the engine test suite).
+    Percentiles are quantized to bucket resolution (``2**(1/8)``), and
+    **merges are exact and associative**: any grouping of the same
+    observations into processes, shards, or time windows produces
+    identical bucket counts (pinned by a hypothesis property in the
+    engine test suite).
 
-    ``counts[i]`` tallies observations ``v`` with
-    ``HIST_EDGES[i-1] < v <= HIST_EDGES[i]``; ``counts[0]`` is the
+    ``counts`` is sparse, ``{bucket_index: n}`` for non-empty buckets
+    only.  Bucket ``i`` tallies observations ``v`` with
+    ``HIST_EDGES[i-1] < v <= HIST_EDGES[i]``; bucket ``0`` is the
     underflow bucket (``v <= HIST_EDGES[0]``, including zeros and
-    negatives) and ``counts[-1]`` the overflow bucket
+    negatives) and bucket ``len(HIST_EDGES)`` the overflow bucket
     (``v > HIST_EDGES[-1]``).  ``count``/``min``/``max`` are exact and
     merge exactly; ``total`` is an exact per-process sum whose merge is
     float addition (associative only to rounding), so it is excluded
@@ -211,7 +88,7 @@ class Histogram:
 
     def __init__(self, name: str = ""):
         self.name = name
-        self.counts = [0] * (len(HIST_EDGES) + 1)
+        self.counts: dict[int, int] = {}
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
@@ -225,7 +102,8 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        self.counts[bisect_left(HIST_EDGES, value)] += 1
+        i = bisect_left(HIST_EDGES, value)
+        self.counts[i] = self.counts.get(i, 0) + 1
 
     @property
     def mean(self) -> float:
@@ -236,17 +114,19 @@ class Histogram:
 
         Reported as the upper edge of the bucket holding the
         nearest-rank observation, clamped to the exact observed
-        ``[min, max]`` — deterministic and identical however the
-        underlying observations were merged.
+        ``[min, max]`` — deterministic, identical however the underlying
+        observations were merged, and for values within the edge range
+        never below the exact nearest-rank value nor more than
+        ``2**(1/8)`` times it.
         """
         if not self.count:
             return float("nan")
         rank = max(1, -(-self.count * min(max(q, 0.0), 100.0) // 100))
         running = 0
-        for i, n in enumerate(self.counts):
+        for i, n in sorted(self.counts.items()):
             running += n
             if running >= rank:
-                if i >= len(HIST_EDGES):  # overflow bucket: no upper edge
+                if i == _OVERFLOW:  # no upper edge
                     return self.max
                 return min(max(HIST_EDGES[i], self.min), self.max)
         return self.max  # pragma: no cover - rank <= count always hits
@@ -277,7 +157,7 @@ class Histogram:
             "p50": self.percentile(50.0),
             "p95": self.percentile(95.0),
             "p99": self.percentile(99.0),
-            "overflow": int(self.counts[-1]),
+            "overflow": self.counts.get(_OVERFLOW, 0),
         }
 
     def digest(self) -> dict:
@@ -293,7 +173,7 @@ class Histogram:
             "count": self.count,
             "min": self.min if self.count else None,
             "max": self.max if self.count else None,
-            "counts": {i: n for i, n in enumerate(self.counts) if n},
+            "counts": dict(sorted(self.counts.items())),
         }
 
     def state(self) -> dict:
@@ -304,7 +184,7 @@ class Histogram:
             "total": self.total,
             "min": self.min,
             "max": self.max,
-            "counts": {str(i): n for i, n in enumerate(self.counts) if n},
+            "counts": {str(i): n for i, n in sorted(self.counts.items())},
         }
 
     def merge_state(self, state: dict) -> None:
@@ -321,7 +201,8 @@ class Histogram:
         self.min = min(self.min, float(state["min"]))
         self.max = max(self.max, float(state["max"]))
         for index, n in state["counts"].items():
-            self.counts[int(index)] += int(n)
+            i = int(index)
+            self.counts[i] = self.counts.get(i, 0) + int(n)
 
     def merge(self, other: "Histogram") -> None:
         """Fold another in-process :class:`Histogram` in (exact)."""
@@ -330,9 +211,8 @@ class Histogram:
             self.total += other.total
             self.min = min(self.min, other.min)
             self.max = max(self.max, other.max)
-            for i, n in enumerate(other.counts):
-                if n:
-                    self.counts[i] += n
+            for i, n in other.counts.items():
+                self.counts[i] = self.counts.get(i, 0) + n
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Histogram {self.name} n={self.count}>"
@@ -340,9 +220,9 @@ class Histogram:
 
 @dataclass
 class MetricsRegistry:
-    """A named bag of counters and summaries.
+    """A named bag of counters and histograms.
 
-    ``counter(name)`` / ``summary(name)`` create on first use, so call
+    ``counter(name)`` / ``histogram(name)`` create on first use, so call
     sites never need registration boilerplate.  :meth:`snapshot` is the
     human/JSON reporting form; :meth:`dump` + :meth:`merge` is the exact
     transfer form the engine uses to pull worker-process metrics back
@@ -350,7 +230,6 @@ class MetricsRegistry:
     """
 
     counters: dict[str, Counter] = field(default_factory=dict)
-    summaries: dict[str, Summary] = field(default_factory=dict)
     histograms: dict[str, Histogram] = field(default_factory=dict)
 
     def counter(self, name: str) -> Counter:
@@ -359,12 +238,6 @@ class MetricsRegistry:
             c = self.counters[name] = Counter(name)
         return c
 
-    def summary(self, name: str) -> Summary:
-        s = self.summaries.get(name)
-        if s is None:
-            s = self.summaries[name] = Summary(name)
-        return s
-
     def histogram(self, name: str) -> Histogram:
         h = self.histograms.get(name)
         if h is None:
@@ -372,20 +245,15 @@ class MetricsRegistry:
         return h
 
     def snapshot(self) -> dict:
-        """Reporting form: ``{"counters", "summaries", "histograms"}``.
+        """Reporting form: ``{"counters", "histograms"}``.
 
-        Counters map to ints, summaries to their bounded
-        ``count/total/min/max/p50/p95`` dicts, histograms to their
-        ``count/total/min/max/p50/p95/p99`` digests; keys are sorted so
-        the output is stable for diffing and tests.
+        Counters map to ints, histograms to their
+        ``count/total/min/max/p50/p95/p99/overflow`` digests; keys are
+        sorted so the output is stable for diffing and tests.
         """
         return {
             "counters": {
                 name: self.counters[name].value for name in sorted(self.counters)
-            },
-            "summaries": {
-                name: self.summaries[name].as_dict()
-                for name in sorted(self.summaries)
             },
             "histograms": {
                 name: self.histograms[name].as_dict()
@@ -394,10 +262,9 @@ class MetricsRegistry:
         }
 
     def dump(self) -> dict:
-        """Transfer form: exact counter values + summary/histogram states."""
+        """Transfer form: exact counter values + histogram states."""
         return {
             "counters": {name: c.value for name, c in self.counters.items()},
-            "summaries": {name: s.state() for name, s in self.summaries.items()},
             "histograms": {
                 name: h.state() for name, h in self.histograms.items()
             },
@@ -406,20 +273,17 @@ class MetricsRegistry:
     def merge(self, dump: dict) -> None:
         """Fold a :meth:`dump` (e.g. from a worker process) into this registry.
 
-        Counters and summaries are *independent namespaces*: a name that
-        arrives as a counter in one dump and as a summary in another
+        Counters and histograms are *independent namespaces*: a name that
+        arrives as a counter in one dump and as a histogram in another
         coexists as both (``snapshot()["counters"][name]`` and
-        ``snapshot()["summaries"][name]``) — merging never converts one
+        ``snapshot()["histograms"][name]``) — merging never converts one
         kind into the other and never raises on a kind collision.
         """
         for name, value in dump.get("counters", {}).items():
             self.counter(name).inc(int(value))
-        for name, state in dump.get("summaries", {}).items():
-            self.summary(name).merge_state(state)
         for name, state in dump.get("histograms", {}).items():
             self.histogram(name).merge_state(state)
 
     def clear(self) -> None:
         self.counters.clear()
-        self.summaries.clear()
         self.histograms.clear()

@@ -11,7 +11,7 @@ records).  The contract with instrumented call sites is:
   load and a branch (the probe-overhead benchmark pins this at < 2 % of
   the Theorem-1 probe hot path).  :func:`span` costs two branch checks
   and does **zero** span bookkeeping when disabled.
-* **Enabled** — counters/summaries accumulate into ``OBS.registry``,
+* **Enabled** — counters/histograms accumulate into ``OBS.registry``,
   :func:`emit` appends structured events to the sink (if any), and every
   :func:`span` block becomes a node of a hierarchical trace: it gets a
   process-unique ``span_id``, the ``span_id`` of the innermost enclosing
@@ -41,7 +41,7 @@ from contextvars import ContextVar
 from typing import Iterator
 
 from repro.obs.events import EventSink, JsonlSink, make_event
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry, Summary
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
 __all__ = [
     "OBS",
@@ -51,7 +51,6 @@ __all__ = [
     "enable",
     "disable",
     "counter",
-    "summary",
     "histogram",
     "emit",
     "span",
@@ -207,11 +206,6 @@ def counter(name: str) -> Counter:
     return OBS.registry.counter(name)
 
 
-def summary(name: str) -> Summary:
-    """The named summary of the active registry (created on first use)."""
-    return OBS.registry.summary(name)
-
-
 def histogram(name: str) -> Histogram:
     """The named histogram of the active registry (created on first use)."""
     return OBS.registry.histogram(name)
@@ -261,7 +255,7 @@ def _finish_record(
     calls: int | None = None,
 ) -> dict:
     """Build + buffer one span record; observes ``<name>.seconds``."""
-    OBS.registry.summary(f"{name}.seconds").observe(seconds)
+    OBS.registry.histogram(f"{name}.seconds").observe(seconds)
     record: dict = {
         "span_id": span_id,
         "parent_id": parent_id,

@@ -90,11 +90,13 @@ class Coordinator:
         ``queue_wait`` (ingress → flush start), ``kernel`` (its share of
         probe-kernel time) and ``apply`` (its share of
         assignment/commit time); the span's ``seconds`` is exactly the
-        sum of the three.
+        sum of the three.  The decision blocks are ``serve.<kind>.decide``
+        spans, so their ``.seconds`` histograms stay apart from the
+        per-request ``serve.<kind>.seconds`` latency histograms.
         """
         flush_start = time.perf_counter()
         if OBS.enabled:
-            OBS.registry.summary("serve.batch_size").observe(float(len(batch)))
+            OBS.registry.histogram("serve.batch_size").observe(float(len(batch)))
         if self.live is not None:
             self.live.observe("serve.batch_size", float(len(batch)))
         places = [item for item in batch if item.kind == "place"]
@@ -169,7 +171,7 @@ class Coordinator:
         reg = OBS.registry
         if OBS.enabled:
             reg.counter(f"serve.admit.requests[{req.scheme}]").inc()
-        with span("serve.admit", scheme=req.scheme, cores=req.cores):
+        with span("serve.admit.decide", scheme=req.scheme, cores=req.cores):
             result = get_partitioner(req.scheme).partition(req.taskset, req.cores)
         utils = result.partition.core_utilizations(self.rule)
         if OBS.enabled and result.schedulable:
@@ -191,7 +193,7 @@ class Coordinator:
     def _explain(self, req: ExplainRequest) -> dict:
         if OBS.enabled:
             OBS.registry.counter(f"serve.explain.requests[{req.scheme}]").inc()
-        with span("serve.explain", scheme=req.scheme, cores=req.cores):
+        with span("serve.explain.decide", scheme=req.scheme, cores=req.cores):
             # The partitioning run inherits the flush's ambient probe
             # backend; the recorded ``probe_impl`` field says which one
             # decided.  Backends are pinned bit-identical, so the
@@ -245,7 +247,7 @@ class Coordinator:
 
         place_start = time.perf_counter()
         kernel_total = 0.0
-        with span("serve.place", batch=len(ready)):
+        with span("serve.place.decide", batch=len(ready)):
             # THE kernel call of the flush: every (task, core) hypothesis
             # of the micro-batch in one stacked NumPy pass.
             t0 = time.perf_counter()

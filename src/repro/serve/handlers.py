@@ -10,8 +10,8 @@ event loop.  Queued work (``/admit``, ``/explain``, ``/place``) is submitted to 
 
 ``GET /metrics`` defaults to the lifetime JSON snapshot;
 ``?format=prometheus`` switches to the text exposition (counters,
-summaries, exact log-bucket histograms, plus live gauges like queue
-depth).  ``GET /metrics/history`` returns the windowed time-series the
+exact log-bucket histograms, plus live gauges like queue depth).
+``GET /metrics/history`` returns the windowed time-series the
 ``repro-mc top`` dashboard polls.
 """
 
@@ -67,7 +67,7 @@ class Api:
             status, body = 422, {"error": str(exc)}
         elapsed = time.perf_counter() - started
         if OBS.enabled:
-            OBS.registry.summary("serve.latency_ms").observe(elapsed * 1e3)
+            OBS.registry.histogram("serve.handle.seconds").observe(elapsed)
             OBS.registry.counter("serve.requests").inc()
             OBS.registry.counter(f"serve.http.{status}").inc()
         if self.live is not None:

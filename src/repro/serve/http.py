@@ -99,13 +99,12 @@ class HttpServer:
                 key, value = line.split(":", 1)
                 headers[key.strip().lower()] = value.strip()
 
-        length = 0
-        if "content-length" in headers:
-            try:
-                length = int(headers["content-length"])
-            except ValueError:
-                await self._respond(writer, 400, {"error": "bad Content-Length"})
-                return False
+        # Digits only: int() would also take "-5", "+5" and "1_0".
+        declared = headers.get("content-length", "0")
+        if not declared.isdecimal():
+            await self._respond(writer, 400, {"error": "bad Content-Length"})
+            return False
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             await self._respond(
                 writer, 413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}

@@ -81,10 +81,12 @@ class TestWorkerAggregation:
         with obs.instrument() as state:
             engine = Engine(jobs=4)
             engine.evaluate(_point())
-            summaries = state.registry.snapshot()["summaries"]
-        assert summaries["engine.shard_seconds"]["count"] == 4
-        assert engine.stats.shard_seconds.count == 4
-        assert engine.stats.as_dict()["shard_seconds"]["count"] == 4
+            snapshot = state.registry.snapshot()
+        assert snapshot["counters"]["engine.shards_computed"] == 4
+        # Shard times live in one histogram only: no reservoir twin.
+        assert "summaries" not in snapshot
+        assert "shard_seconds" not in engine.stats.as_dict()
+        assert engine.stats.as_dict()["shard_seconds_hist"]["count"] == 4
 
     def test_shard_seconds_histogram_counts_every_shard(self):
         with obs.instrument() as state:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,17 @@ class TestParser:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["fig9"])
+
+    @pytest.mark.parametrize("sets", ["0", "-3", "many"])
+    def test_non_positive_sets_rejected_in_one_line(self, sets, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fig1", "--sets", sets])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "repro-mc: error: argument --sets: "
+            f"must be a positive integer, got {sets!r}\n"
+        )
 
     def test_store_flags_round_trip(self, tmp_path):
         args = cli.build_parser().parse_args(
@@ -238,7 +250,7 @@ class TestObservability:
         assert manifest["repro_version"] == __version__
         assert manifest["artifact"]["path"] == "fig1.json"
         assert manifest["engine"]["shards_computed"] > 0
-        assert manifest["engine"]["shard_seconds"]["count"] > 0
+        assert manifest["engine"]["shard_seconds_hist"]["count"] > 0
         # Workload counters survived the worker-process boundary.
         counters = manifest["metrics"]["counters"]
         assert any(name.startswith("probe.") for name in counters)
@@ -254,7 +266,10 @@ class TestObservability:
         payload = json.loads(metrics_path.read_text())
         assert payload["run_id"].startswith("r-")
         assert payload["metrics"]["counters"]["engine.shards_computed"] >= 1
-        assert payload["metrics"]["summaries"]["engine.shard_seconds"]["count"] >= 1
+        assert "summaries" not in payload["metrics"]
+        shard = payload["metrics"]["histograms"]["engine.shard_seconds"]
+        assert shard["count"] >= 1
+        assert math.isfinite(shard["p95"])
 
     def test_log_json_streams_engine_events(self, tiny_fig1, capsys):
         log = tiny_fig1 / "events.jsonl"
@@ -713,9 +728,10 @@ class TestSimulateCommand:
         doc = json.loads(metrics.read_text())
         counters = doc["metrics"]["counters"]
         assert counters["sim.event.injected"] == 6
-        summaries = doc["metrics"]["summaries"]
-        assert "cli.simulate.seconds" in summaries
-        assert "sim.events.compile.seconds" in summaries
+        histograms = doc["metrics"]["histograms"]
+        assert "cli.simulate.seconds" in histograms
+        assert "sim.events.compile.seconds" in histograms
+        assert "sim.core_utilization_observed" in histograms
 
     def test_unschedulable_partition_needs_allow_infeasible(
         self, tmp_path, capsys

@@ -168,17 +168,6 @@ class TestRenderPrometheus:
         text = render_prometheus(reg)
         assert 'probe_calls_total{core="3"} 2' in text
 
-    def test_summary_quantiles_sum_count(self):
-        reg = MetricsRegistry()
-        for v in [1.0, 2.0, 3.0]:
-            reg.summary("lat").observe(v)
-        text = render_prometheus(reg)
-        assert "# TYPE lat summary" in text
-        assert 'lat{quantile="0.5"}' in text
-        assert 'lat{quantile="0.95"}' in text
-        assert "lat_sum 6" in text
-        assert "lat_count 3" in text
-
     def test_histogram_buckets_ordered_and_cumulative(self):
         reg = MetricsRegistry()
         for v in [1e-5, 1e-3, 1e-1, 10.0, 1e9]:
@@ -291,7 +280,6 @@ class TestSloEvaluation:
 class TestMetricsView:
     SNAPSHOT = {
         "counters": {"serve.rejected_503": 0, "serve.requests": 120},
-        "summaries": {"old.lat": {"count": 3, "p95": 0.2}},
         "histograms": {"serve.place.seconds": {"count": 9, "p95": 0.004}},
     }
 
@@ -306,7 +294,8 @@ class TestMetricsView:
     def test_percentiles_prefer_histograms(self):
         view = MetricsView(self.SNAPSHOT)
         assert view.slo_value("p95", "serve.place.seconds") == 0.004
-        assert view.slo_value("p95", "old.lat") == 0.2
+        # A metric that never reported a histogram measures NaN.
+        assert math.isnan(view.slo_value("p95", "old.lat"))
 
     def test_missing_metric_is_nan(self):
         view = MetricsView(self.SNAPSHOT)

@@ -38,16 +38,18 @@ def _manifest(tmp_path, **overrides):
             "shards_computed": 9,
             "compute_seconds": 1.25,
             "worker_retries": 0,
-            "shard_seconds": {
+            "shard_seconds_hist": {
                 "count": 9,
                 "total": 1.25,
                 "min": 0.1,
                 "max": 0.3,
                 "p50": 0.12,
                 "p95": 0.29,
+                "p99": 0.3,
+                "overflow": 0,
             },
         },
-        metrics={"counters": {"probe.cores_probed": 42}, "summaries": {}},
+        metrics={"counters": {"probe.cores_probed": 42}, "histograms": {}},
         events_log="events.jsonl",
     )
     kwargs.update(overrides)
@@ -111,7 +113,7 @@ class TestFormat:
     def test_counter_truncation(self, tmp_path):
         metrics = {
             "counters": {f"c{i:03}": i for i in range(50)},
-            "summaries": {},
+            "histograms": {},
         }
         text = format_manifest(_manifest(tmp_path, metrics=metrics), top=5)
         assert "top 5 of 50" in text
@@ -140,7 +142,6 @@ class TestFormat:
     def test_renders_metrics_histograms_section(self, tmp_path):
         metrics = {
             "counters": {},
-            "summaries": {},
             "histograms": {
                 "serve.place.seconds": {
                     "count": 120,

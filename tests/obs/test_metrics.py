@@ -1,4 +1,4 @@
-"""Unit tests for the counter/summary primitives of repro.obs."""
+"""Unit tests for the counter/histogram primitives of repro.obs."""
 
 from __future__ import annotations
 
@@ -9,14 +9,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.obs.metrics import (
-    DEFAULT_MAX_SAMPLES,
     HIST_EDGES,
     HIST_SCHEMA,
     Counter,
     Histogram,
     MetricsRegistry,
-    Summary,
 )
+
+#: Width of one histogram bucket: the largest factor by which a
+#: reported percentile may exceed the exact one.
+BUCKET_RATIO = 2 ** (1 / 8)
 
 
 class TestCounter:
@@ -28,105 +30,6 @@ class TestCounter:
         assert c.value == 6
 
 
-class TestSummary:
-    def test_empty_as_dict(self):
-        s = Summary("t")
-        assert s.as_dict() == {
-            "count": 0,
-            "total": 0.0,
-            "min": None,
-            "max": None,
-            "p50": None,
-            "p95": None,
-        }
-        assert math.isnan(s.percentile(50))
-        assert math.isnan(s.mean)
-
-    def test_exact_fields(self):
-        s = Summary("t")
-        for v in [3.0, 1.0, 2.0]:
-            s.observe(v)
-        d = s.as_dict()
-        assert d["count"] == 3
-        assert d["total"] == pytest.approx(6.0)
-        assert d["min"] == 1.0
-        assert d["max"] == 3.0
-        assert s.mean == pytest.approx(2.0)
-
-    def test_percentiles_exact_before_decimation(self):
-        s = Summary("t")
-        for v in range(1, 101):
-            s.observe(float(v))
-        assert s.percentile(0) == 1.0
-        assert s.percentile(100) == 100.0
-        assert s.percentile(50) == pytest.approx(50.0, abs=1.0)
-
-    def test_memory_stays_bounded(self):
-        s = Summary("t", max_samples=16)
-        for v in range(10_000):
-            s.observe(float(v))
-        assert len(s._samples) < 16
-        assert s.count == 10_000
-        # The reservoir still spans the stream, not just its head.
-        assert s.percentile(95) > 5_000
-
-    def test_rejects_tiny_capacity(self):
-        with pytest.raises(ValueError):
-            Summary("t", max_samples=1)
-
-    def test_decimation_is_deterministic(self):
-        a, b = Summary("a"), Summary("b")
-        for v in range(5 * DEFAULT_MAX_SAMPLES):
-            a.observe(float(v))
-            b.observe(float(v))
-        assert a._samples == b._samples
-        assert a.as_dict() == b.as_dict()
-
-    def test_merge_state_combines_exact_fields(self):
-        a, b = Summary("a"), Summary("b")
-        for v in [1.0, 2.0]:
-            a.observe(v)
-        for v in [10.0, 0.5]:
-            b.observe(v)
-        a.merge_state(b.state())
-        d = a.as_dict()
-        assert d["count"] == 4
-        assert d["total"] == pytest.approx(13.5)
-        assert d["min"] == 0.5
-        assert d["max"] == 10.0
-
-    def test_merge_empty_state_is_a_noop(self):
-        a = Summary("a")
-        a.observe(1.0)
-        before = a.as_dict()
-        a.merge_state(Summary("b").state())
-        assert a.as_dict() == before
-
-    @given(
-        st.lists(
-            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-            min_size=1,
-            max_size=300,
-        ),
-        st.integers(min_value=1, max_value=299),
-    )
-    def test_merged_equals_sequential_on_exact_fields(self, values, split):
-        split = min(split, len(values))
-        seq = Summary("seq")
-        for v in values:
-            seq.observe(v)
-        left, right = Summary("l"), Summary("r")
-        for v in values[:split]:
-            left.observe(v)
-        for v in values[split:]:
-            right.observe(v)
-        left.merge_state(right.state())
-        assert left.count == seq.count
-        assert left.total == pytest.approx(seq.total)
-        assert left.min == seq.min
-        assert left.max == seq.max
-
-
 class TestHistogram:
     def test_empty(self):
         h = Histogram("t")
@@ -134,6 +37,7 @@ class TestHistogram:
         assert math.isnan(h.percentile(50))
         assert h.as_dict()["p95"] is None
         assert h.digest()["counts"] == {}
+        assert math.isnan(h.mean)
 
     def test_exact_fields_and_bucketing(self):
         h = Histogram("t")
@@ -143,8 +47,9 @@ class TestHistogram:
         assert h.total == pytest.approx(0.111)
         assert h.min == 0.001
         assert h.max == 0.1
+        assert h.mean == pytest.approx(0.037)
         # Exactly one bucket per decade-separated observation.
-        assert sum(1 for n in h.counts if n) == 3
+        assert len(h.counts) == 3
 
     def test_percentile_quantized_to_bucket_edge(self):
         h = Histogram("t")
@@ -152,7 +57,7 @@ class TestHistogram:
             h.observe(0.0012)
         p50 = h.percentile(50)
         # Upper edge of the bucket holding 0.0012, clamped to max.
-        assert 0.0012 <= p50 <= 0.0012 * (10 ** 0.25)
+        assert 0.0012 <= p50 <= 0.0012 * BUCKET_RATIO
 
     def test_percentile_clamped_to_observed_range(self):
         h = Histogram("t")
@@ -166,7 +71,8 @@ class TestHistogram:
         h.observe(-1.0)
         h.observe(1e9)  # above the largest edge
         assert h.counts[0] == 2
-        assert h.counts[-1] == 1
+        assert h.counts[len(HIST_EDGES)] == 1
+        assert h.as_dict()["overflow"] == 1
         # The overflow bucket has no upper edge: report the exact max.
         assert h.percentile(100) == 1e9
 
@@ -239,16 +145,58 @@ class TestHistogram:
         assert list(HIST_EDGES) == sorted(HIST_EDGES)
         assert len(set(HIST_EDGES)) == len(HIST_EDGES)
 
+    def test_edge_ladder_covers_60ns_to_1024s_in_eighth_octaves(self):
+        assert len(HIST_EDGES) == 273
+        assert HIST_EDGES[0] == 2.0**-24
+        assert HIST_EDGES[-1] == 1024.0
+        ratios = [b / a for a, b in zip(HIST_EDGES, HIST_EDGES[1:])]
+        assert max(ratios) == pytest.approx(BUCKET_RATIO, rel=1e-12)
+        assert min(ratios) == pytest.approx(BUCKET_RATIO, rel=1e-12)
+
+    def test_powers_of_two_report_exactly(self):
+        h = Histogram("batch")
+        for v in [1, 1, 2, 4, 4, 4, 8, 64]:
+            h.observe(v)
+        assert h.percentile(25) == 1.0
+        assert h.percentile(50) == 4.0
+        assert h.percentile(90) == 64.0
+
+    def test_counts_are_sparse(self):
+        h = Histogram("t")
+        for v in [0.003] * 1000 + [0.5]:
+            h.observe(v)
+        assert len(h.counts) == 2
+        assert sum(h.counts.values()) == 1001
+
+    @given(
+        st.lists(
+            st.floats(min_value=HIST_EDGES[0], max_value=HIST_EDGES[-1]),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_percentiles_within_one_bucket_of_exact(self, values):
+        h = Histogram("t")
+        for v in values:
+            h.observe(v)
+        ordered = sorted(values)
+        for q in (50.0, 95.0, 99.0):
+            exact = ordered[max(1, math.ceil(len(ordered) * q / 100)) - 1]
+            reported = h.percentile(q)
+            # Edges are rounded floats, so allow one part in 1e12 on
+            # the upper bound.
+            assert exact <= reported <= exact * BUCKET_RATIO * (1 + 1e-12)
+
 
 class TestMetricsRegistry:
     def test_create_on_first_use(self):
         reg = MetricsRegistry()
         reg.counter("a").inc(2)
         reg.counter("a").inc()
-        reg.summary("s").observe(1.5)
+        reg.histogram("s").observe(1.5)
         snap = reg.snapshot()
         assert snap["counters"] == {"a": 3}
-        assert snap["summaries"]["s"]["count"] == 1
+        assert snap["histograms"]["s"]["count"] == 1
 
     def test_snapshot_keys_are_sorted(self):
         reg = MetricsRegistry()
@@ -259,16 +207,16 @@ class TestMetricsRegistry:
     def test_dump_merge_roundtrip(self):
         worker = MetricsRegistry()
         worker.counter("probe.calls").inc(7)
-        worker.summary("seconds").observe(0.25)
-        worker.summary("seconds").observe(0.75)
+        worker.histogram("seconds").observe(0.25)
+        worker.histogram("seconds").observe(0.75)
 
         parent = MetricsRegistry()
         parent.counter("probe.calls").inc(3)
         parent.merge(worker.dump())
         snap = parent.snapshot()
         assert snap["counters"]["probe.calls"] == 10
-        assert snap["summaries"]["seconds"]["count"] == 2
-        assert snap["summaries"]["seconds"]["total"] == pytest.approx(1.0)
+        assert snap["histograms"]["seconds"]["count"] == 2
+        assert snap["histograms"]["seconds"]["total"] == pytest.approx(1.0)
 
     def test_histogram_dump_merge_roundtrip(self):
         worker = MetricsRegistry()
@@ -285,41 +233,37 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         reg.counter("a").inc()
         reg.clear()
-        assert reg.snapshot() == {
-            "counters": {},
-            "summaries": {},
-            "histograms": {},
-        }
+        assert reg.snapshot() == {"counters": {}, "histograms": {}}
 
 
 class TestMergeKindCollision:
-    """Counters and summaries are independent namespaces (pinned).
+    """Counters and histograms are independent namespaces (pinned).
 
     The same name arriving as a Counter in one worker dump and as a
-    Summary in another must coexist — merge never raises, never converts
-    one kind into the other, and never loses either side's data.
+    Histogram in another must coexist — merge never raises, never
+    converts one kind into the other, and never loses either side's data.
     """
 
-    def test_same_name_as_counter_and_summary_coexists(self):
+    def test_same_name_as_counter_and_histogram_coexists(self):
         counter_worker = MetricsRegistry()
         counter_worker.counter("probe.time").inc(5)
-        summary_worker = MetricsRegistry()
-        summary_worker.summary("probe.time").observe(0.5)
+        histogram_worker = MetricsRegistry()
+        histogram_worker.histogram("probe.time").observe(0.5)
 
         parent = MetricsRegistry()
         parent.merge(counter_worker.dump())
-        parent.merge(summary_worker.dump())
+        parent.merge(histogram_worker.dump())
 
         snap = parent.snapshot()
         assert snap["counters"]["probe.time"] == 5
-        assert snap["summaries"]["probe.time"]["count"] == 1
-        assert snap["summaries"]["probe.time"]["total"] == pytest.approx(0.5)
+        assert snap["histograms"]["probe.time"]["count"] == 1
+        assert snap["histograms"]["probe.time"]["total"] == pytest.approx(0.5)
 
     def test_collision_merge_order_is_irrelevant(self):
         a = MetricsRegistry()
         a.counter("x").inc(2)
         b = MetricsRegistry()
-        b.summary("x").observe(1.0)
+        b.histogram("x").observe(1.0)
 
         forward = MetricsRegistry()
         forward.merge(a.dump())
@@ -332,15 +276,15 @@ class TestMergeKindCollision:
     def test_local_kind_collision_also_coexists(self):
         reg = MetricsRegistry()
         reg.counter("x").inc()
-        reg.summary("x").observe(2.0)
+        reg.histogram("x").observe(2.0)
         snap = reg.snapshot()
         assert snap["counters"]["x"] == 1
-        assert snap["summaries"]["x"]["count"] == 1
+        assert snap["histograms"]["x"]["count"] == 1
 
     def test_dump_roundtrips_both_kinds_of_a_collided_name(self):
         reg = MetricsRegistry()
         reg.counter("x").inc(3)
-        reg.summary("x").observe(1.5)
+        reg.histogram("x").observe(1.5)
         clone = MetricsRegistry()
         clone.merge(reg.dump())
         assert clone.snapshot() == reg.snapshot()

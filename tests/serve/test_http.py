@@ -12,6 +12,7 @@ import asyncio
 import json
 
 import numpy as np
+import pytest
 
 from repro.model.io import taskset_to_dict
 from repro.obs import load_manifest
@@ -88,7 +89,7 @@ class TestPlaceEndpoint:
         assert st_status == 200
         assert state["tasks"] == 8
         assert sorted(state["assignment"].count(c) for c in (0, 1)) == [4, 4]
-        batch = metrics["metrics"]["summaries"]["serve.batch_size"]
+        batch = metrics["metrics"]["histograms"]["serve.batch_size"]
         assert batch["p50"] > 1  # the burst really coalesced
 
     def test_infeasible_placement_answers_409(self):
@@ -143,6 +144,90 @@ class TestErrorStatuses:
 
         status, body = run(main())
         assert status == 400 and "bad task" in body["error"]
+
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/place", {"task": {"period": 10, "wcets": ["a"]}}),
+            ("/place", {"task": {"period": "10", "wcets": [1, 2]}}),
+            ("/place", {"task": {"period": True, "wcets": [1]}}),
+            ("/place", {"task": {"period": 10, "wcets": [1, False]}}),
+            ("/place", {"task": {"period": 10, "wcets": "12"}}),
+            ("/place", {"task": {"period": float("inf"), "wcets": [1]}}),
+            ("/place", {"task": {"period": 10**400, "wcets": [1]}}),
+            ("/place", {"task": {"period": 10, "wcets": [1], "name": {}}}),
+            ("/admit", {"taskset": 5, "cores": 2}),
+            (
+                "/admit",
+                {
+                    "taskset": {
+                        "format": "repro-mc-taskset",
+                        "version": 1,
+                        "levels": 2,
+                        "tasks": [{"period": 10, "wcets": ["a"]}],
+                    },
+                    "cores": 2,
+                },
+            ),
+            (
+                "/explain",
+                {
+                    "taskset": {
+                        "format": "repro-mc-taskset",
+                        "version": 1,
+                        "levels": 2.0,
+                        "tasks": [{"period": 10, "wcets": [1]}],
+                    },
+                    "cores": 2,
+                },
+            ),
+        ],
+        ids=[
+            "wcet-string",
+            "period-string",
+            "period-bool",
+            "wcet-bool",
+            "wcets-not-a-list",
+            "period-infinite",
+            "period-beyond-float",
+            "name-not-a-string",
+            "taskset-not-an-object",
+            "admit-wcet-string",
+            "explain-levels-float",
+        ],
+    )
+    def test_non_finite_or_non_numeric_fields_400(self, path, body):
+        async def main():
+            async with DaemonHarness() as h:
+                answer = await h.client.post(path, body)
+                return answer, await h.client.get("/healthz")
+
+        (status, answer), (health_status, health) = run(main())
+        assert status == 400
+        assert answer["error"].startswith(("bad task: ", "bad taskset: "))
+        assert "\n" not in answer["error"]
+        assert health_status == 200 and health["ok"]
+
+    @pytest.mark.parametrize("declared", ["-5", "+5", "1_0", "five", ""])
+    def test_bad_content_length_400(self, declared):
+        async def main():
+            async with DaemonHarness() as h:
+                reader, writer = await asyncio.open_connection(*h.daemon.bound)
+                writer.write(
+                    b"POST /place HTTP/1.1\r\nHost: t\r\nContent-Length: "
+                    + declared.encode()
+                    + b"\r\n\r\n"
+                )
+                await writer.drain()
+                raw = await reader.read()
+                writer.close()
+                return raw, await h.client.get("/healthz")
+
+        raw, (health_status, health) = run(main())
+        head, _, data = raw.partition(b"\r\n\r\n")
+        assert int(head.split()[1]) == 400
+        assert json.loads(data) == {"error": "bad Content-Length"}
+        assert health_status == 200 and health["ok"]
 
     def test_overcritical_task_400(self):
         async def main():
@@ -222,7 +307,10 @@ class TestGracefulShutdown:
         run_id = run(main())
         dump = json.loads(metrics_path.read_text())
         assert dump["run_id"] == run_id
-        assert "serve.batch_size" in dump["metrics"]["summaries"]
+        assert "summaries" not in dump["metrics"]
+        histograms = dump["metrics"]["histograms"]
+        assert histograms["serve.batch_size"]["p50"] == 1.0  # exact edge
+        assert histograms["serve.handle.seconds"]["count"] >= 2
         assert dump["metrics"]["counters"]["serve.place.accepted"] == 1
         manifest = load_manifest(tmp_path / "serve.metrics.manifest.json")
         assert manifest["run_id"] == run_id
