@@ -9,11 +9,13 @@ through the vectorized batch path (one broadcasted ``(M, K, K)`` stack,
 one NumPy pass).  Each pair of probes is asserted bit-equal, so the
 speedup is measured on provably equivalent work.
 
-An end-to-end ``evaluate_point`` timing of all five schemes under both
-implementations is reported alongside; it is diluted by the
-probe-independent pipeline (task-set generation, sorting, bookkeeping)
-and by the scalar path's lazy early-exit in the feasibility scans, so
-its ratio is much smaller than the probe-engine ratio.
+An end-to-end timing of the Fig.-1 sweep (all five schemes, jobs=1) is
+reported alongside in three rows: scalar probes, per-set batch probes,
+and the engine's lockstep lanes (:func:`repro.bench.run_end_to_end_bench`).
+The scalar/batch ratio is diluted by the probe-independent pipeline
+(task-set generation, sorting, bookkeeping) and by the scalar path's
+lazy early-exit in the feasibility scans; the lockstep row removes the
+per-lane dispatch cost that dilution comes from.
 
 The third section pins the **incremental** backend: a daemon-style
 placement loop (probe every pending task, place one, re-probe — the
@@ -37,8 +39,8 @@ import time
 import numpy as np
 from conftest import bench_sets
 
-from repro.bench import run_placement_bench
-from repro.experiments import default_schemes, evaluate_point
+from repro.bench import end_to_end_rows, run_end_to_end_bench, run_placement_bench
+from repro.experiments.sweeps import definition_to_spec, figure1_nsu
 from repro.gen import WorkloadConfig, generate_taskset
 from repro.model import Partition
 from repro.partition import ordering
@@ -78,14 +80,6 @@ def _replay_probe_timings(config: WorkloadConfig, sets: int):
     return probes, scalar_s, batch_s
 
 
-def _timed_evaluate(implementation: str, config: WorkloadConfig, sets: int):
-    with use_probe_implementation(implementation):
-        start = time.perf_counter()
-        stats = evaluate_point(config, sets=sets, seed=SEED, jobs=1)
-        elapsed = time.perf_counter() - start
-    return stats, elapsed
-
-
 def test_probe_throughput(emit):
     config = WorkloadConfig()  # the Fig.-1 default point
     sets = bench_sets(60)
@@ -93,10 +87,15 @@ def test_probe_throughput(emit):
     probes, probe_scalar_s, probe_batch_s = _replay_probe_timings(config, sets)
     probe_speedup = probe_scalar_s / probe_batch_s
 
-    e2e_batch, e2e_batch_s = _timed_evaluate("batch", config, sets)
-    e2e_scalar, e2e_scalar_s = _timed_evaluate("scalar", config, sets)
-    assert e2e_batch == e2e_scalar  # both paths: identical SchemeStats
-    e2e_speedup = e2e_scalar_s / e2e_batch_s
+    # All three end-to-end rows produce identical figures: checked over
+    # ``sets`` sets of the Fig.-1 sweep here, and again on the fixed
+    # timing workload inside run_end_to_end_bench.
+    spec = definition_to_spec(
+        figure1_nsu(), sets=max(1, sets // len(figure1_nsu().values)), seed=SEED
+    )
+    figures = {name: run() for name, run in end_to_end_rows(spec).items()}
+    assert figures["scalar"] == figures["batch"] == figures["lockstep"]
+    e2e = run_end_to_end_bench(seed=SEED)
 
     placement = run_placement_bench(sets=bench_sets(6), seed=SEED)
 
@@ -118,18 +117,7 @@ def test_probe_throughput(emit):
             "speedup": probe_speedup,
         },
         "placement": placement,
-        "end_to_end": {
-            "schemes": [spec.label for spec in default_schemes()],
-            "scalar": {
-                "seconds": e2e_scalar_s,
-                "sets_per_sec": sets / e2e_scalar_s,
-            },
-            "batch": {
-                "seconds": e2e_batch_s,
-                "sets_per_sec": sets / e2e_batch_s,
-            },
-            "speedup": e2e_speedup,
-        },
+        "end_to_end": e2e,
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -156,12 +144,15 @@ def test_probe_throughput(emit):
         f"{placement['incremental']['probes_per_sec']:>12.0f}",
         f"  speedup: {placement['speedup']:.2f}x",
         "",
-        "End-to-end evaluate_point, 5 schemes, jobs=1 (diluted by the "
-        "probe-independent pipeline):",
-        f"  {'path':<8} {'seconds':>10} {'sets/sec':>12}",
-        f"  {'scalar':<8} {e2e_scalar_s:>10.3f} {sets / e2e_scalar_s:>12.2f}",
-        f"  {'batch':<8} {e2e_batch_s:>10.3f} {sets / e2e_batch_s:>12.2f}",
-        f"  speedup: {e2e_speedup:.2f}x",
+        f"End-to-end Fig.-1 sweep, 5 schemes, jobs=1 ({e2e['sets']} sets):",
+        f"  {'path':<9} {'seconds':>10} {'sets/sec':>12}",
+        *(
+            f"  {row:<9} {e2e[row]['seconds']:>10.3f} "
+            f"{e2e[row]['sets_per_sec']:>12.2f}"
+            for row in ("scalar", "batch", "lockstep")
+        ),
+        f"  batch/scalar speedup: {e2e['speedup']:.2f}x",
+        f"  lockstep/batch speedup: {e2e['lockstep_speedup']:.2f}x",
         "",
         f"[written to {RESULT_PATH.name}]",
     ]
@@ -173,4 +164,8 @@ def test_probe_throughput(emit):
     assert placement["speedup"] >= 3.0, (
         f"incremental backend only {placement['speedup']:.2f}x faster "
         f"than batch on the placement loop"
+    )
+    assert e2e["lockstep_speedup"] >= 2.0, (
+        f"lockstep lanes only {e2e['lockstep_speedup']:.2f}x faster than "
+        "the per-set batch path on the Fig.-1 sweep"
     )

@@ -206,14 +206,18 @@ def batch_core_utilization(
 
 
 def _core_utilization_stack(mats: np.ndarray, rule: str) -> np.ndarray:
-    """Unchecked core of :func:`batch_core_utilization`.
+    """Unchecked core of :func:`batch_core_utilization`."""
+    return _reduce_available(_available_utilizations(mats), rule)
+
+
+def _reduce_available(avail: np.ndarray, rule: str) -> np.ndarray:
+    """Eq. (9) over ``(M, K)`` availabilities: one utilization per row.
 
     ``1 - A(k)`` is finite for every condition that passes ``A(k) >=
     -EPS`` (a passing ``A`` is finite), so a row with no passing
     condition is recognisable from the reduction's identity element
     alone — no separate ``ok.any()`` pass is needed.
     """
-    avail = _available_utilizations(mats)
     ok = avail >= -EPS
     if rule == "max":
         out = np.where(ok, 1.0 - avail, -np.inf).max(axis=1)

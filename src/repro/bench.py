@@ -25,6 +25,11 @@ are deliberately chosen to survive a hardware change:
   ``max(1.0, gate_ratio x committed)`` — i.e. the incremental backend
   must never be slower than batch on the workload it exists for,
   however slow the machine.
+* **lockstep column** — on the Fig.-1 sweep through the engine at
+  ``jobs=1``, the lockstep-over-batch speedup (lockstep lanes vs every
+  lane on the per-set batch path, identical figures) must stay above
+  ``max(1.0, gate_ratio x committed)``: lockstep may never lose to the
+  per-set path on the sweep it exists for.
 * **disabled overhead** — the median paired guarded/raw ratio must stay
   under ``overhead_gate``.  Machine-independent by construction; the
   quick run uses a looser default gate than the full benchmark's 1.02
@@ -41,6 +46,7 @@ from __future__ import annotations
 import json
 import statistics
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -56,14 +62,18 @@ from repro.partition.probe import (
 )
 
 __all__ = [
+    "DEFAULT_E2E_SETS",
     "DEFAULT_SETS",
     "DEFAULT_PLACEMENT_SETS",
     "DEFAULT_SERVE_PLACES",
+    "E2E_PASSES",
     "DEFAULT_GATE_RATIO",
     "DEFAULT_OVERHEAD_GATE",
     "PLACEMENT_TASK_RANGE",
+    "end_to_end_rows",
     "placement_loop",
     "replay_probe_states",
+    "run_end_to_end_bench",
     "run_placement_bench",
     "run_probe_bench",
     "run_serve_bench",
@@ -75,6 +85,12 @@ SEED = 2016
 DEFAULT_SETS = 12
 DEFAULT_PLACEMENT_SETS = 3
 CHUNKS = 8  #: interleaved chunks for the paired A/B/A overhead measurement
+
+#: Task sets per point of the end-to-end Fig.-1 sweep rows: 5 points x 4
+#: sets x 5 schemes = 100 lanes in one lockstep wave.  Fixed (not scaled
+#: by ``--sets``) so the measured speedup is comparable to the pin.
+DEFAULT_E2E_SETS = 4
+E2E_PASSES = 2  #: best-of passes of the gated end-to-end rows
 
 #: Backlog depth of the placement-loop workload.  The incremental
 #: backend's advantage grows with the number of pending rows per flush
@@ -201,6 +217,83 @@ def run_placement_bench(
     }
 
 
+def end_to_end_rows(spec) -> dict[str, Callable[[], list]]:
+    """The three end-to-end rows of a stats figure ``spec``.
+
+    Each row is a callable returning the figure (per point, per scheme
+    ``SchemeStats.to_dict()``); all three must return identical figures.
+
+    * ``scalar`` — ``Engine(jobs=1, probe_impl="scalar").run``, which
+      keeps every lane per set;
+    * ``batch`` — the same shards with every (set, scheme) lane on the
+      per-set :meth:`Partitioner.partition` path under batch probes;
+    * ``lockstep`` — what users run: ``Engine(jobs=1).run`` on the
+      spec, every lane of every point in lockstep waves.
+    """
+    from repro.engine import Engine
+    from repro.engine.core import _merge_stats, _run_stats_waves
+
+    shards = [(p.config, p.schemes, p.seed, 0, p.sets) for p in spec.points]
+
+    def per_set() -> list:
+        accs: list = []
+        with use_probe_implementation("batch"):
+            _run_stats_waves(
+                shards, lambda _i, shard, _s: accs.append(shard), lockstep=False
+            )
+        return [
+            [_merge_stats(p, [a])[label].to_dict() for label in p.labels]
+            for p, a in zip(spec.points, accs)
+        ]
+
+    def engine(impl: str) -> list:
+        artifact = Engine(jobs=1, probe_impl=impl).run(spec)
+        return [[s.to_dict() for s in row.stats] for row in artifact.rows]
+
+    return {
+        "scalar": lambda: engine("scalar"),
+        "batch": per_set,
+        "lockstep": lambda: engine("batch"),
+    }
+
+
+def run_end_to_end_bench(seed: int = SEED) -> dict:
+    """The Fig.-1 sweep in sets/s: scalar, per-set batch and lockstep.
+
+    Runs :func:`end_to_end_rows` at :data:`DEFAULT_E2E_SETS` sets per
+    point and checks that all three rows produce identical figures.  The
+    gated batch and lockstep rows are the best of :data:`E2E_PASSES`
+    runs; the slow scalar row runs once.
+    """
+    from repro.experiments.sweeps import definition_to_spec, figure1_nsu
+
+    spec = definition_to_spec(figure1_nsu(), sets=DEFAULT_E2E_SETS, seed=seed)
+    seconds: dict[str, float] = {}
+    figures: dict[str, list] = {}
+    for name, run in end_to_end_rows(spec).items():
+        best = float("inf")
+        for _ in range(1 if name == "scalar" else E2E_PASSES):
+            start = time.perf_counter()
+            figures[name] = run()
+            best = min(best, time.perf_counter() - start)
+        seconds[name] = best
+    if not figures["scalar"] == figures["batch"] == figures["lockstep"]:
+        raise AssertionError("end-to-end rows disagree across probe paths")
+    total = DEFAULT_E2E_SETS * len(spec.points)
+    return {
+        "benchmark": "fig1-sweep",
+        "schemes": list(spec.points[0].labels),
+        "sets": total,
+        "seed": seed,
+        **{
+            name: {"seconds": secs, "sets_per_sec": total / secs}
+            for name, secs in seconds.items()
+        },
+        "speedup": seconds["scalar"] / seconds["batch"],
+        "lockstep_speedup": seconds["batch"] / seconds["lockstep"],
+    }
+
+
 def run_serve_bench(
     places: int = DEFAULT_SERVE_PLACES, seed: int = SEED, cores: int = 8
 ) -> dict:
@@ -307,7 +400,8 @@ def run_probe_bench(sets: int = DEFAULT_SETS, seed: int = SEED) -> dict:
 
     Returns a dict with the same vocabulary as the committed baselines:
     ``probes``, ``batch``/``scalar`` seconds and probes/sec, ``speedup``,
-    and the median paired ``disabled_overhead_ratio``.
+    the median paired ``disabled_overhead_ratio``, and the placement,
+    ``end_to_end`` (:func:`run_end_to_end_bench`) and serve sections.
     """
     config = WorkloadConfig()  # the Fig.-1 default point
     states = replay_probe_states(config, sets, seed)
@@ -341,6 +435,7 @@ def run_probe_bench(sets: int = DEFAULT_SETS, seed: int = SEED) -> dict:
         },
         "speedup": scalar_seconds / batch_seconds,
         "placement": run_placement_bench(seed=seed),
+        "end_to_end": run_end_to_end_bench(seed=seed),
         "serve": run_serve_bench(seed=seed),
         "disabled_overhead_ratio": statistics.median(ratios),
         "overhead_samples": len(ratios),
@@ -434,6 +529,23 @@ def compare_against_baselines(
                 measured["placement"]["speedup"],
                 committed_inc_speedup,
                 max(1.0, gate_ratio * committed_inc_speedup),
+            )
+
+        end_to_end = partition.get("end_to_end", {})
+        if "lockstep_speedup" not in end_to_end:
+            failures.append(
+                f"baseline {PARTITION_BASELINE} has no end_to_end lockstep row"
+            )
+            lines.append(f"  !! no end_to_end lockstep row in {PARTITION_BASELINE}")
+        else:
+            committed_lockstep = float(end_to_end["lockstep_speedup"])
+            # Never below 1.0: lockstep must not lose to the per-set
+            # path on the sweep, whatever the hardware.
+            check(
+                "lockstep/batch sweep speedup",
+                measured["end_to_end"]["lockstep_speedup"],
+                committed_lockstep,
+                max(1.0, gate_ratio * committed_lockstep),
             )
 
     serve_baseline = _load_json(baseline_dir / SERVE_BASELINE)

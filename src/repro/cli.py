@@ -681,10 +681,32 @@ def _write_metrics(args, run_id, command, snapshot) -> None:
     )
 
 
+def _read_taskset(command: str, path: str):
+    """Load a task-set document for ``command``: ``(taskset, exit code)``.
+
+    On success the code is 0.  Otherwise the taskset is ``None``, one
+    stderr line names the error, and the code is 2 for a malformed
+    document (a usage error) or 1 for an unreadable path.
+    """
+    from repro.model import load_taskset
+
+    try:
+        return load_taskset(path), 0
+    except OSError as exc:
+        print(
+            f"repro-mc {command}: cannot read {path}: {exc.strerror}",
+            file=sys.stderr,
+        )
+        return None, 1
+    except (ReproError, ValueError) as exc:
+        print(f"repro-mc {command}: bad task set {path}: {exc}", file=sys.stderr)
+        return None, 2
+
+
 def _simulate(args, command: list[str]) -> int:
     """``repro-mc simulate``: one partitioned EDF-VD run, optionally
     under an injected-event script (``--events``)."""
-    from repro.model import load_events, load_taskset
+    from repro.model import load_events
     from repro.partition.registry import get_partitioner
     from repro.sched import (
         EventInjectionRuntime,
@@ -707,7 +729,9 @@ def _simulate(args, command: list[str]) -> int:
             file=sys.stderr,
         )
         return 2
-    taskset = load_taskset(args.taskset)
+    taskset, code = _read_taskset("simulate", args.taskset)
+    if taskset is None:
+        return code
     result = get_partitioner(args.scheme).partition(taskset, args.cores)
     if not result.partition.is_complete:
         print(
@@ -1005,7 +1029,6 @@ def _explain_cmd(args) -> int:
     and still prints the text report; neither prints the report only.
     """
     from repro.analysis.explain import explain_admission, format_explanation
-    from repro.model import load_taskset
 
     if args.taskset is not None and args.paths:
         print(
@@ -1024,7 +1047,9 @@ def _explain_cmd(args) -> int:
             file=sys.stderr,
         )
         return 2
-    taskset = load_taskset(path)
+    taskset, code = _read_taskset("explain", path)
+    if taskset is None:
+        return code
     exp = explain_admission(
         taskset,
         args.cores,

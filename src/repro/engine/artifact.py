@@ -28,7 +28,7 @@ __all__ = ["SCHEMA_VERSION", "PointResult", "SweepArtifact"]
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointResult:
     """One evaluated data point, with full provenance.
 

@@ -18,6 +18,7 @@ bit-identical artifacts.
 from __future__ import annotations
 
 import importlib
+import itertools
 import os
 import time
 import warnings
@@ -37,6 +38,7 @@ from repro.metrics.aggregate import SchemeAccumulator, SchemeStats
 from repro.obs import runtime as obs
 from repro.obs.metrics import Histogram
 from repro.partition.backend import get_backend
+from repro.partition.lockstep import lockstep_supported, partition_lockstep
 from repro.partition.probe import probe_implementation, use_probe_implementation
 from repro.types import ReproError
 
@@ -103,6 +105,112 @@ def _generate_timed(config: WorkloadConfig, rng):
     return taskset
 
 
+#: Most (set, scheme) lanes one lockstep wave advances together.  Bounds
+#: the wave's padded tensors (a few MB at K=6) while keeping the per-step
+#: kernel call wide enough to amortize NumPy dispatch.
+WAVE_LANES = 1024
+
+#: One stats shard of work: ``(config, schemes, seed, start, count)``.
+StatsShard = tuple[WorkloadConfig, tuple[SchemeSpec, ...], int, int, int]
+
+
+def _lockstep_enabled(impl: str | None = None) -> bool:
+    """Lockstep lanes need the batch kernels and no per-attempt telemetry.
+
+    ``impl`` defaults to the active probe backend.  Instrumented runs
+    keep the per-set path: its ``partition.attempt`` spans and per-probe
+    counters have no lockstep equivalent.
+    """
+    return (impl or probe_implementation()) == "batch" and not obs.OBS.enabled
+
+
+def _partition_wave(lanes: list, lockstep: bool) -> list:
+    """Partition ``(taskset, partitioner, cores)`` lanes, in lane order.
+
+    Supported lanes advance in lockstep, one group per core count; the
+    rest go through :meth:`Partitioner.partition` one by one.
+    """
+    results: list = [None] * len(lanes)
+    groups: dict[int, list[int]] = {}
+    for i, (taskset, partitioner, cores) in enumerate(lanes):
+        if lockstep and lockstep_supported(partitioner):
+            groups.setdefault(cores, []).append(i)
+        else:
+            results[i] = partitioner.partition(taskset, cores)
+    for cores, indices in groups.items():
+        batch = partition_lockstep(
+            [(lanes[i][0], lanes[i][1]) for i in indices], cores
+        )
+        for i, result in zip(indices, batch):
+            results[i] = result
+    return results
+
+
+def _run_stats_waves(
+    shards: list[StatsShard],
+    on_done: Callable[[int, list[SchemeAccumulator], float], None],
+    *,
+    lockstep: bool | None = None,
+) -> None:
+    """Evaluate stats shards as (set, scheme) lanes in waves.
+
+    Lanes are enumerated shard by shard, set by set and scheme by
+    scheme, and cut into consecutive waves of at most
+    :data:`WAVE_LANES`, so one wave may span several shards (and data
+    points).  Results reach each shard's accumulators in lane order,
+    which is the per-set loop's order, so the accumulators are
+    identical.  ``on_done(index, accumulators, seconds)`` fires as soon
+    as the wave that completes shard ``index`` has finished; a shard's
+    ``seconds`` is its lane share of every wave it took part in.
+    ``lockstep=None`` decides by :func:`_lockstep_enabled`.
+    """
+    if lockstep is None:
+        lockstep = _lockstep_enabled()
+    built = [
+        [(spec.label, spec.build()) for spec in schemes]
+        for _, schemes, _, _, _ in shards
+    ]
+    accs = [
+        {label: SchemeAccumulator(label) for label, _ in partitioners}
+        for partitioners in built
+    ]
+    lanes_left = [
+        count * len(partitioners)
+        for (_, _, _, _, count), partitioners in zip(shards, built)
+    ]
+    seconds = [0.0] * len(shards)
+
+    def lanes():
+        for shard, (config, _, seed, start, count) in enumerate(shards):
+            for i in range(start, start + count):
+                stream = np.random.SeedSequence(seed, spawn_key=(i,))
+                taskset = _generate_timed(config, np.random.default_rng(stream))
+                for label, partitioner in built[shard]:
+                    yield shard, label, taskset, partitioner, config.cores
+
+    pending = lanes()
+    while True:
+        t0 = time.perf_counter()
+        wave = list(itertools.islice(pending, WAVE_LANES))
+        if not wave:
+            return
+        results = _partition_wave(
+            [(taskset, p, cores) for _, _, taskset, p, cores in wave], lockstep
+        )
+        share: dict[int, int] = {}
+        for (shard, label, _, _, _), result in zip(wave, results):
+            # Accumulators are keyed by label, which may differ from the
+            # partitioner's registry name (e.g. alpha variants).
+            accs[shard][label].add(result, check_scheme=False)
+            share[shard] = share.get(shard, 0) + 1
+        elapsed = time.perf_counter() - t0
+        for shard, count in share.items():
+            seconds[shard] += elapsed * count / len(wave)
+            lanes_left[shard] -= count
+            if lanes_left[shard] == 0:
+                on_done(shard, list(accs[shard].values()), seconds[shard])
+
+
 def _run_stats_shard(
     config: WorkloadConfig,
     schemes: tuple[SchemeSpec, ...],
@@ -111,17 +219,12 @@ def _run_stats_shard(
     count: int,
 ) -> list[SchemeAccumulator]:
     """Evaluate task sets ``start .. start+count-1`` of a stats point."""
-    partitioners = [(spec.label, spec.build()) for spec in schemes]
-    accs = {label: SchemeAccumulator(label) for label, _ in partitioners}
-    for i in range(start, start + count):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        taskset = _generate_timed(config, rng)
-        for label, partitioner in partitioners:
-            result = partitioner.partition(taskset, config.cores)
-            # Accumulators are keyed by label, which may differ from the
-            # partitioner's registry name (e.g. alpha variants).
-            accs[label].add(result, check_scheme=False)
-    return list(accs.values())
+    out: list[list[SchemeAccumulator]] = []
+    _run_stats_waves(
+        [(config, schemes, seed, start, count)],
+        lambda _shard, accs, _seconds: out.append(accs),
+    )
+    return out[0]
 
 
 def _run_h2h_shard(
@@ -414,15 +517,24 @@ class Engine:
         jobs = os.cpu_count() or 1 if self.jobs is None else self.jobs
         return max(1, min(jobs, sets))
 
-    def _checkpoint(
-        self, point: PointSpec, start: int, count: int, result, impl: str
+    def _finish_shard(
+        self,
+        point: PointSpec,
+        start: int,
+        count: int,
+        result,
+        seconds: float,
+        impl: str,
     ) -> None:
+        """Checkpoint, count and announce one computed shard."""
         if self.store is not None:
             with obs.span("engine.store.put"):
                 self.store.put(
                     shard_key(point, start, count, probe_impl=impl),
                     shard_kind(point.kind).encode(result),
                 )
+        self._record_shard(seconds)
+        self._emit("shard", start=start, count=count, cached=False, seconds=seconds)
 
     def _compute_missing(
         self,
@@ -437,12 +549,8 @@ class Engine:
         results: dict[int, object] = {}
 
         def finish(start: int, count: int, result, seconds: float) -> None:
-            self._checkpoint(point, start, count, result, impl)
-            self._record_shard(seconds)
+            self._finish_shard(point, start, count, result, seconds, impl)
             results[start] = result
-            self._emit(
-                "shard", start=start, count=count, cached=False, seconds=seconds
-            )
 
         if jobs == 1 or len(missing) == 1:
             # Inline execution: metrics (if enabled) accumulate straight
@@ -556,55 +664,69 @@ class Engine:
         merged campaign payload for ``kind="validate"`` points.
         """
         with obs.span("engine.point", kind=point.kind, sets=point.sets):
-            kind = shard_kind(point.kind)
             impl = self._resolved_impl()
             jobs = self._effective_jobs(point.sets)
-            shards = plan_shards(point.sets, jobs)
-            self.stats.points += 1
-            self.stats.shards_planned += len(shards)
-            # The ETA anchor for live dashboards (repro-mc top): how
-            # much work this point holds and how wide it fans out.
-            self._emit(
-                "point_plan",
-                kind=point.kind,
-                sets=point.sets,
-                shards=len(shards),
-                jobs=jobs,
-            )
+            shards, results, missing = self._lookup(point, jobs, impl)
+            if missing:
+                results.update(self._compute_missing(point, missing, jobs, impl))
+            return self._merge(point, shards, results)
 
-            results: dict[int, object] = {}
-            missing: list[tuple[int, int]] = []
-            for start, count in shards:
-                if self.store is not None:
-                    with obs.span("engine.store.get"):
-                        cached = self.store.get(
-                            shard_key(point, start, count, probe_impl=impl)
-                        )
-                else:
-                    cached = None
-                if cached is not None:
-                    results[start] = kind.decode(cached)
-                    self.stats.cache_hits += 1
-                    if obs.OBS.enabled:
-                        obs.counter("engine.cache_hits").inc()
-                    self._emit(
-                        "shard", start=start, count=count, cached=True, seconds=0.0
+    def _lookup(
+        self, point: PointSpec, jobs: int, impl: str
+    ) -> tuple[list[tuple[int, int]], dict[int, object], list[tuple[int, int]]]:
+        """Plan a point's shards and answer what the store holds.
+
+        Emits ``point_plan`` and one ``shard`` event per cache hit;
+        returns ``(shards, cached results by start, missing shards)``.
+        """
+        kind = shard_kind(point.kind)
+        shards = plan_shards(point.sets, jobs)
+        self.stats.points += 1
+        self.stats.shards_planned += len(shards)
+        # The ETA anchor for live dashboards (repro-mc top): how
+        # much work this point holds and how wide it fans out.
+        self._emit(
+            "point_plan",
+            kind=point.kind,
+            sets=point.sets,
+            shards=len(shards),
+            jobs=jobs,
+        )
+        results: dict[int, object] = {}
+        missing: list[tuple[int, int]] = []
+        for start, count in shards:
+            if self.store is not None:
+                with obs.span("engine.store.get"):
+                    cached = self.store.get(
+                        shard_key(point, start, count, probe_impl=impl)
                     )
-                else:
-                    if self.store is not None:
-                        self.stats.cache_misses += 1
-                        if obs.OBS.enabled:
-                            obs.counter("engine.cache_misses").inc()
-                    missing.append((start, count))
+            else:
+                cached = None
+            if cached is not None:
+                results[start] = kind.decode(cached)
+                self.stats.cache_hits += 1
+                if obs.OBS.enabled:
+                    obs.counter("engine.cache_hits").inc()
+                self._emit(
+                    "shard", start=start, count=count, cached=True, seconds=0.0
+                )
+            else:
+                if self.store is not None:
+                    self.stats.cache_misses += 1
+                    if obs.OBS.enabled:
+                        obs.counter("engine.cache_misses").inc()
+                missing.append((start, count))
+        return shards, results, missing
 
-            results.update(
-                self._compute_missing(point, missing, jobs, impl)
-                if missing
-                else {}
-            )
-            with obs.span("engine.merge", kind=point.kind):
-                ordered = [results[start] for start, _ in shards]
-                return kind.merge(point, ordered)
+    def _merge(
+        self,
+        point: PointSpec,
+        shards: list[tuple[int, int]],
+        results: dict[int, object],
+    ):
+        with obs.span("engine.merge", kind=point.kind):
+            ordered = [results[start] for start, _ in shards]
+            return shard_kind(point.kind).merge(point, ordered)
 
     def run(self, spec: ExperimentSpec) -> SweepArtifact:
         """Evaluate a whole figure spec into a :class:`SweepArtifact`."""
@@ -612,30 +734,37 @@ class Engine:
             return self._run(spec)
 
     def _run(self, spec: ExperimentSpec) -> SweepArtifact:
-        rows = []
         self._emit(
             "run_plan",
             figure=spec.figure,
             points=len(spec.points),
             sets_per_point=spec.sets_per_point,
         )
-        for value, point in zip(spec.values, spec.points):
+        for point in spec.points:
             if point.kind != "stats":
                 raise ReproError(
                     f"ExperimentSpec points must be kind='stats', got {point.kind!r}"
                 )
-            self._emit(
-                "point", figure=spec.figure, parameter=spec.parameter, value=value
-            )
-            stats = self.evaluate(point)
-            rows.append(
-                PointResult(
-                    value=value,
-                    config=point.config,
-                    schemes=point.schemes,
-                    stats=tuple(stats[label] for label in point.labels),
+        if _lockstep_enabled(self._resolved_impl()) and all(
+            self._effective_jobs(p.sets) == 1 for p in spec.points
+        ):
+            stats = self._run_fused(spec)
+        else:
+            stats = []
+            for value, point in zip(spec.values, spec.points):
+                self._emit(
+                    "point", figure=spec.figure, parameter=spec.parameter, value=value
                 )
+                stats.append(self.evaluate(point))
+        rows = tuple(
+            PointResult(
+                value=value,
+                config=point.config,
+                schemes=point.schemes,
+                stats=tuple(point_stats[label] for label in point.labels),
             )
+            for value, point, point_stats in zip(spec.values, spec.points, stats)
+        )
         return SweepArtifact(
             figure=spec.figure,
             title=spec.title,
@@ -643,8 +772,49 @@ class Engine:
             values=spec.values,
             sets_per_point=spec.sets_per_point,
             seed=spec.seed,
-            rows=tuple(rows),
+            rows=rows,
         )
+
+    def _run_fused(self, spec: ExperimentSpec) -> list[dict[str, SchemeStats]]:
+        """The lockstep ``jobs=1`` run: every point's lookups, then one compute.
+
+        Every missing shard of the spec goes to one
+        :func:`_run_stats_waves` call, so lanes span points; each shard
+        is checkpointed and announced as soon as its wave finishes.
+        """
+        impl = self._resolved_impl()
+        planned = []
+        for value, point in zip(spec.values, spec.points):
+            self._emit(
+                "point", figure=spec.figure, parameter=spec.parameter, value=value
+            )
+            with obs.span("engine.point", kind=point.kind, sets=point.sets):
+                planned.append((point, *self._lookup(point, 1, impl)))
+
+        todo = [
+            (point, results, start, count)
+            for point, _, results, missing in planned
+            for start, count in missing
+        ]
+
+        def done(index: int, accs: list, seconds: float) -> None:
+            point, results, start, count = todo[index]
+            self._finish_shard(point, start, count, accs, seconds, impl)
+            results[start] = accs
+
+        with use_probe_implementation(impl):
+            _run_stats_waves(
+                [
+                    (point.config, point.schemes, point.seed, start, count)
+                    for point, _, start, count in todo
+                ],
+                done,
+                lockstep=True,
+            )
+        return [
+            self._merge(point, shards, results)
+            for point, shards, results, _ in planned
+        ]
 
 
 def run_experiment(

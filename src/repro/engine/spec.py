@@ -12,6 +12,7 @@ default) hash to the same shard keys and share checkpointed results.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,7 @@ __all__ = [
 POINT_KINDS = ("stats", "h2h", "validate", "dynsim")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchemeSpec:
     """Picklable description of one scheme configuration.
 
@@ -77,13 +78,21 @@ class SchemeSpec:
 
 def default_schemes(alpha: float = 0.7) -> list[SchemeSpec]:
     """The paper's five schemes: CA-TPA (with ``alpha``) + 4 baselines."""
-    return [
+    return list(_paper_schemes(alpha))
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _paper_schemes(alpha: float) -> tuple[SchemeSpec, ...]:
+    # Specs are immutable, so every caller (and every artifact row of a
+    # long sweep) can share one set of objects per alpha.  typed=True
+    # keeps alpha=1 and alpha=1.0 apart: they serialize differently.
+    return (
         SchemeSpec.make("ca-tpa", alpha=alpha),
         SchemeSpec.make("ffd"),
         SchemeSpec.make("bfd"),
         SchemeSpec.make("wfd"),
         SchemeSpec.make("hybrid"),
-    ]
+    )
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ PERIOD_RANGES: tuple[tuple[int, int], ...] = ((50, 200), (200, 500), (500, 2000)
 IFC_RANGE: tuple[float, float] = (0.3, 0.7)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkloadConfig:
     """Parameters for one synthetic-workload data point.
 

@@ -39,7 +39,7 @@ def _none_to_nan(value) -> float:
     return float("nan") if value is None else float(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchemeStats:
     """Final per-scheme figures for one data point."""
 
@@ -157,10 +157,8 @@ class SchemeAccumulator:
             scheme=self.scheme,
             total_sets=self.total_sets,
             schedulable_sets=n_ok,
-            sched_ratio=(n_ok / self.total_sets) if self.total_sets else float("nan"),
-            u_sys=(math.fsum(self.u_sys_values) / n_ok) if n_ok else float("nan"),
-            u_avg=(math.fsum(self.u_avg_values) / n_ok) if n_ok else float("nan"),
-            imbalance=(
-                math.fsum(self.imbalance_values) / n_ok if n_ok else float("nan")
-            ),
+            sched_ratio=(n_ok / self.total_sets) if self.total_sets else math.nan,
+            u_sys=(math.fsum(self.u_sys_values) / n_ok) if n_ok else math.nan,
+            u_avg=(math.fsum(self.u_avg_values) / n_ok) if n_ok else math.nan,
+            imbalance=math.fsum(self.imbalance_values) / n_ok if n_ok else math.nan,
         )

@@ -56,6 +56,7 @@ from repro.model.taskset import MCTaskSet
 from repro.types import ModelError
 
 __all__ = [
+    "MAX_LEVELS",
     "taskset_to_dict",
     "taskset_from_dict",
     "save_taskset",
@@ -74,6 +75,12 @@ _TASKSET_FORMAT = "repro-mc-taskset"
 _PARTITION_FORMAT = "repro-mc-partition"
 _EVENTS_FORMAT = "repro-mc-events"
 _VERSION = 1
+
+#: Largest criticality count ``K`` a task-set document may declare.  The
+#: paper uses ``K <= 6``; every partition of the set allocates ``(M, K,
+#: K)`` level matrices, so an unchecked ``K`` from a request body or file
+#: costs memory quadratic in a single number.
+MAX_LEVELS = 64
 
 
 def taskset_to_dict(taskset: MCTaskSet) -> dict[str, Any]:
@@ -109,6 +116,14 @@ def taskset_from_dict(data: dict[str, Any]) -> MCTaskSet:
         levels = data["levels"]
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed task set document: {exc}") from exc
+    if (
+        isinstance(levels, bool)
+        or not isinstance(levels, int)
+        or not 1 <= levels <= MAX_LEVELS
+    ):
+        raise ModelError(
+            f"levels must be an integer in [1, {MAX_LEVELS}], got {levels!r:.40}"
+        )
     return MCTaskSet(tasks, levels=levels)
 
 

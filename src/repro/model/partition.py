@@ -424,6 +424,34 @@ class Partition:
                 part.assign(i, int(core))
         return part
 
+    @classmethod
+    def _from_arrays(
+        cls,
+        taskset: MCTaskSet,
+        cores: int,
+        assignment: np.ndarray,
+        level_mats: np.ndarray,
+        counts: np.ndarray,
+    ) -> "Partition":
+        """Adopt state built elsewhere (lockstep partitioning); no copies.
+
+        The per-core versions are set equal to the counts, which is
+        exact for an assign-only history: every :meth:`assign` bumps the
+        core's version and count together.
+        """
+        part = cls.__new__(cls)
+        part._taskset = taskset
+        part._cores = int(cores)
+        part._assignment = assignment
+        level_mats.setflags(write=False)
+        part._level_mats = level_mats
+        part._counts = counts
+        part._util_cache = {}
+        part._core_seq = counts.copy()
+        part.probe_state = {}
+        part._frozen = False
+        return part
+
     # ------------------------------------------------------------------
     def _check_mutable(self) -> None:
         if self._frozen:

@@ -11,6 +11,7 @@ from repro.partition.classical import (
 from repro.partition.dbf_scheme import DBFFirstFit
 from repro.partition.fp_schemes import FPPartitioner
 from repro.partition.hybrid import HybridPartitioner
+from repro.partition.lockstep import lockstep_supported, partition_lockstep
 from repro.partition.registry import (
     PAPER_SCHEMES,
     available_schemes,
@@ -32,5 +33,7 @@ __all__ = [
     "WorstFitDecreasing",
     "available_schemes",
     "get_partitioner",
+    "lockstep_supported",
+    "partition_lockstep",
     "register",
 ]

@@ -18,6 +18,11 @@ Built-in oracles
 ``probe-scalar-batch``
     The scalar, batch, and incremental probe backends make bit-identical
     placement decisions for every scheme.
+``lockstep-equals-sequential``
+    The case's schemes run as lockstep lanes
+    (:func:`repro.partition.partition_lockstep`) reproduce every
+    per-set result bit for bit: order, assignment, failed task, core
+    utilizations, level matrices, core counts and core versions.
 ``theorem1-eq7-k2``
     At ``K = 2``, Ineq. (5) (Theorem 1) agrees with the classical
     dual-criticality test Eq. (7) on every core's level matrix.
@@ -81,6 +86,7 @@ from repro.gen.params import WorkloadConfig
 from repro.model import MCTaskSet
 from repro.obs import runtime as obs
 from repro.partition.base import PartitionResult
+from repro.partition.lockstep import lockstep_supported, partition_lockstep
 from repro.partition.probe import use_probe_implementation
 from repro.sched import (
     CoreSimulator,
@@ -232,6 +238,49 @@ def _check_probe_equivalence(case: ValidationCase) -> list[str]:
                         f"assignment {s.assignment.tolist()} "
                         f"vs {b.assignment.tolist()})"
                     )
+    return failures
+
+
+@register_oracle(
+    "lockstep-equals-sequential",
+    "lockstep lanes reproduce every per-set partition result bit for bit",
+)
+def _check_lockstep_equivalence(case: ValidationCase) -> list[str]:
+    sequential = case.scheme_results()
+    specs = [
+        (spec, partitioner)
+        for spec in case.schemes
+        if lockstep_supported(partitioner := spec.build())
+    ]
+    lanes = partition_lockstep(
+        [(case.taskset, partitioner) for _, partitioner in specs],
+        case.config.cores,
+    )
+    failures = []
+    for (spec, _), got in zip(specs, lanes):
+        ref = sequential[spec.label]
+        part, ref_part = got.partition, ref.partition
+        observables = {
+            "schedulable": got.schedulable == ref.schedulable,
+            "failed_task": got.failed_task == ref.failed_task,
+            "order": got.order == ref.order,
+            "assignment": np.array_equal(got.assignment, ref.assignment),
+            "core_utilizations": got.core_utilizations().tobytes()
+            == ref.core_utilizations().tobytes(),
+            "level_matrices": part.level_matrices().tobytes()
+            == ref_part.level_matrices().tobytes(),
+            "core_counts": np.array_equal(part.core_counts, ref_part.core_counts),
+            "core_versions": np.array_equal(
+                part.core_versions(), ref_part.core_versions()
+            ),
+        }
+        differ = [name for name, same in observables.items() if not same]
+        if differ:
+            failures.append(
+                f"{spec.label}: lockstep differs from sequential in "
+                f"{', '.join(differ)} (assignment {got.assignment.tolist()} "
+                f"vs {ref.assignment.tolist()})"
+            )
     return failures
 
 

@@ -203,3 +203,132 @@ class TestRunValidation:
         assert kinds.count("shard") == 2
         shard_events = [e for e in events if e["event"] == "shard"]
         assert all(not e["cached"] and e["seconds"] >= 0 for e in shard_events)
+
+
+def _spec3(sets=5, seed=6) -> ExperimentSpec:
+    values = (0.4, 0.6, 0.8)
+    return ExperimentSpec(
+        figure="figF",
+        title="fused sweep",
+        parameter="NSU",
+        values=values,
+        points=tuple(
+            PointSpec(
+                config=TINY.with_(nsu=v),
+                schemes=tuple(default_schemes()),
+                sets=sets,
+                seed=seed,
+            )
+            for v in values
+        ),
+    )
+
+
+class TestFusedSerialRun:
+    """``jobs=1`` runs look up every point first, then hand every missing
+    shard of the spec to one lockstep wave runner."""
+
+    def _store_with_cached_middle_point(self, root):
+        spec = _spec3()
+        store = ResultStore(root)
+        Engine(jobs=1, store=store).evaluate(spec.points[1])
+        return spec, store
+
+    def test_cache_hit_events_and_checkpoints(self, tmp_path):
+        spec, store = self._store_with_cached_middle_point(tmp_path / "fused")
+        puts = []
+        put = store.put
+
+        def recording_put(key, payload):
+            puts.append(key)
+            put(key, payload)
+
+        store.put = recording_put
+        events = []
+        engine = Engine(jobs=1, store=store, progress=events.append)
+        artifact = engine.run(spec)
+
+        assert engine.stats.cache_hits == 1
+        assert engine.stats.cache_misses == 2
+        assert engine.stats.shards_computed == 2
+        plans = [i for i, e in enumerate(events) if e["event"] == "point_plan"]
+        shards = [i for i, e in enumerate(events) if e["event"] == "shard"]
+        cached = [i for i in shards if events[i]["cached"]]
+        computed = [i for i in shards if not events[i]["cached"]]
+        assert len(plans) == 3 and cached == [plans[1] + 1] and len(computed) == 2
+        # Every point's plan precedes its shard events.
+        assert max(plans) < min(computed)
+
+        missing = [spec.points[0], spec.points[2]]
+        keys = [shard_key(p, 0, p.sets, probe_impl="batch") for p in missing]
+        assert puts == keys  # one checkpoint per missing shard, in order
+        reference = ResultStore(tmp_path / "per-point")
+        for point, key in zip(missing, keys):
+            Engine(jobs=1, store=reference).evaluate(point)
+            assert store._path(key).read_bytes() == reference._path(key).read_bytes()
+        assert artifact.to_json() == Engine(jobs=2).run(spec).to_json()
+
+    def test_lanes_span_points_in_one_wave(self, monkeypatch):
+        from repro.engine import core
+        from repro.partition.lockstep import partition_lockstep
+
+        waves = []
+
+        def counting(lanes, cores):
+            waves.append(len(lanes))
+            return partition_lockstep(lanes, cores)
+
+        monkeypatch.setattr(core, "partition_lockstep", counting)
+        Engine(jobs=1).run(_spec3())
+        assert waves == [3 * 5 * 5]  # 3 points x 5 sets x 5 schemes
+
+    def test_waves_are_capped(self, monkeypatch):
+        from repro.engine import core
+
+        waves = []
+        original = core.partition_lockstep
+
+        def counting(lanes, cores):
+            waves.append(len(lanes))
+            return original(lanes, cores)
+
+        monkeypatch.setattr(core, "partition_lockstep", counting)
+        monkeypatch.setattr(core, "WAVE_LANES", 7)
+        capped = Engine(jobs=1).run(_spec3())
+        assert max(waves) <= 7 and sum(waves) == 3 * 5 * 5
+        monkeypatch.undo()
+        assert capped.to_json() == Engine(jobs=1).run(_spec3()).to_json()
+
+    def test_top_once_shows_every_point_complete(self, tmp_path, capsys):
+        from repro import cli
+        from repro.obs.events import JsonlSink, make_event
+
+        spec, store = self._store_with_cached_middle_point(tmp_path / "store")
+        # Instrumented runs stay per point, so the fused run's events are
+        # taken from the progress hook and written in the sink's format.
+        events = []
+        Engine(jobs=1, store=store, progress=events.append).run(spec)
+        log = tmp_path / "events.jsonl"
+        sink = JsonlSink(log)
+        for seq, event in enumerate(events, 1):
+            payload = dict(event)
+            name = payload.pop("event")
+            sink.emit(make_event("fused", seq, f"engine.{name}", payload))
+        sink.close()
+        assert cli.main(["top", str(log), "--once"]) == 0
+        frame = capsys.readouterr().out
+        assert "points          3/3" in frame
+        assert "shards          3/3 done" in frame
+
+    def test_instrumented_run_keeps_shards_under_their_point(self, tmp_path):
+        from repro import obs
+        from repro.obs import trace
+
+        log = tmp_path / "events.jsonl"
+        with obs.instrument(log_path=log):
+            Engine(jobs=1).run(_spec3(sets=2))
+        tree = trace.load_tree(log)
+        shards = [n for n in tree.walk() if n.name == "engine.shard"]
+        assert len(shards) == 3
+        for node in shards:
+            assert tree.nodes[node.parent_id].name == "engine.point"

@@ -17,8 +17,15 @@ def _measured(
     inc_speedup=3.2,
     serve_qps=1_000.0,
     serve_p95=0.005,
+    lockstep_speedup=9.0,
 ):
     return {
+        "end_to_end": {
+            "benchmark": "fig1-sweep",
+            "batch": {"seconds": 1.0, "sets_per_sec": 20.0},
+            "lockstep": {"seconds": 0.1, "sets_per_sec": 20.0 * lockstep_speedup},
+            "lockstep_speedup": lockstep_speedup,
+        },
         "serve": {
             "benchmark": "serve-burst",
             "places": 256,
@@ -64,6 +71,7 @@ def baselines(tmp_path):
                     "incremental": {"probes_per_sec": 3_000_000.0},
                     "speedup": 3.2,
                 },
+                "end_to_end": {"lockstep_speedup": 9.0},
             }
         )
     )
@@ -132,6 +140,36 @@ class TestCompare:
         )
         assert any("incremental/batch speedup" in f for f in failures)
 
+    def test_lockstep_regression_fails(self, baselines):
+        # 3x clears the absolute floor but not gate_ratio x committed 9x.
+        failures, _ = bench.compare_against_baselines(
+            _measured(lockstep_speedup=3.0),
+            baselines,
+            gate_ratio=0.5,
+            overhead_gate=1.10,
+        )
+        assert any("lockstep/batch sweep speedup" in f for f in failures)
+
+    def test_lockstep_slower_than_batch_fails(self, baselines):
+        # 0.95x clears gate_ratio x committed (0.1 x 9) but not the
+        # absolute lockstep >= per-set batch floor.
+        failures, _ = bench.compare_against_baselines(
+            _measured(lockstep_speedup=0.95),
+            baselines,
+            gate_ratio=0.1,
+            overhead_gate=1.10,
+        )
+        assert any("lockstep/batch sweep speedup" in f for f in failures)
+
+    def test_missing_lockstep_row_is_a_failure(self, baselines):
+        stale = json.loads((baselines / bench.PARTITION_BASELINE).read_text())
+        del stale["end_to_end"]
+        (baselines / bench.PARTITION_BASELINE).write_text(json.dumps(stale))
+        failures, _ = bench.compare_against_baselines(
+            _measured(), baselines, gate_ratio=0.5, overhead_gate=1.10
+        )
+        assert any("end_to_end lockstep row" in f for f in failures)
+
     def test_missing_placement_section_is_a_failure(self, baselines):
         stale = json.loads(
             (baselines / bench.PARTITION_BASELINE).read_text()
@@ -189,7 +227,8 @@ class TestCompare:
 
 
 class TestRunProbeBench:
-    def test_tiny_measurement_has_expected_shape(self):
+    def test_tiny_measurement_has_expected_shape(self, monkeypatch):
+        monkeypatch.setattr(bench, "DEFAULT_E2E_SETS", 1)
         measured = bench.run_probe_bench(sets=1)
         assert measured["probes"] > 0
         assert measured["batch"]["probes_per_sec"] > 0
@@ -201,6 +240,10 @@ class TestRunProbeBench:
         assert placement["batch"]["probes_per_sec"] > 0
         assert placement["incremental"]["probes_per_sec"] > 0
         assert placement["speedup"] > 0
+        end_to_end = measured["end_to_end"]
+        for row in ("scalar", "batch", "lockstep"):
+            assert end_to_end[row]["sets_per_sec"] > 0
+        assert end_to_end["lockstep_speedup"] > 0
         serve = measured["serve"]
         assert serve["qps"] > 0
         assert serve["accepted"] > 0

@@ -648,6 +648,40 @@ class TestTopCommand:
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
+class TestTasksetLoaders:
+    """explain/simulate read task-set files through one decoder: a bad
+    document exits 2 with one line, an unreadable path exits 1."""
+
+    def _doc(self, path, levels):
+        path.write_text(
+            json.dumps(
+                {
+                    "format": "repro-mc-taskset",
+                    "version": 1,
+                    "levels": levels,
+                    "tasks": [{"period": 10, "wcets": [1, 2]}] * 2,
+                }
+            )
+        )
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["explain", "simulate"])
+    @pytest.mark.parametrize("levels", [2000, 0, "2"])
+    def test_bad_levels_exit_2_with_one_line(self, tmp_path, capsys, command, levels):
+        path = self._doc(tmp_path / "ts.json", levels)
+        assert cli.main([command, "--taskset", path, "--cores", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"repro-mc {command}: bad task set")
+        assert "levels must be an integer in [1, 64]" in err
+
+    def test_unreadable_path_exits_1_with_one_line(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.json")
+        assert cli.main(["explain", "--taskset", missing, "--cores", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot read" in err
+
+
 class TestSimulateCommand:
     def _args(self, *extra):
         return [

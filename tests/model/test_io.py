@@ -21,6 +21,7 @@ from repro.model import (
     taskset_from_dict,
     taskset_to_dict,
 )
+from repro.model.io import MAX_LEVELS
 from repro.sched.events import (
     core_failure,
     core_hotplug,
@@ -74,6 +75,13 @@ class TestTasksetRoundTrip:
         doc = taskset_to_dict(taskset)
         del doc["tasks"][0]["period"]
         with pytest.raises(ModelError, match="malformed"):
+            taskset_from_dict(doc)
+
+    @pytest.mark.parametrize("levels", [0, MAX_LEVELS + 1, 2000, 2.0, True, "3"])
+    def test_levels_outside_cap_rejected(self, taskset, levels):
+        doc = taskset_to_dict(taskset)
+        doc["levels"] = levels
+        with pytest.raises(ModelError, match="levels must be an integer"):
             taskset_from_dict(doc)
 
     def test_invalid_task_values_surface_model_errors(self, taskset):

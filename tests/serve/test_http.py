@@ -181,6 +181,30 @@ class TestErrorStatuses:
                     "cores": 2,
                 },
             ),
+            (
+                "/admit",
+                {
+                    "taskset": {
+                        "format": "repro-mc-taskset",
+                        "version": 1,
+                        "levels": 2000,
+                        "tasks": [{"period": 10, "wcets": [1, 2]}] * 2,
+                    },
+                    "cores": 8,
+                },
+            ),
+            (
+                "/explain",
+                {
+                    "taskset": {
+                        "format": "repro-mc-taskset",
+                        "version": 1,
+                        "levels": 65,
+                        "tasks": [{"period": 10, "wcets": [1]}],
+                    },
+                    "cores": 2,
+                },
+            ),
         ],
         ids=[
             "wcet-string",
@@ -194,6 +218,8 @@ class TestErrorStatuses:
             "taskset-not-an-object",
             "admit-wcet-string",
             "explain-levels-float",
+            "admit-levels-huge",
+            "explain-levels-above-cap",
         ],
     )
     def test_non_finite_or_non_numeric_fields_400(self, path, body):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.model.io import taskset_to_dict
+from repro.model.io import MAX_LEVELS, taskset_to_dict
 from repro.serve.protocol import ProtocolError, parse_admit, parse_place
 from tests.conftest import random_taskset
 
@@ -38,6 +38,27 @@ class TestParseAdmit:
         doc["format"] = "something-else"
         with pytest.raises(ProtocolError, match="bad taskset"):
             parse_admit({"taskset": doc, "cores": 2})
+
+    @pytest.mark.parametrize("levels", [0, -1, MAX_LEVELS + 1, 2000, 10**9])
+    def test_rejects_levels_outside_cap(self, levels):
+        doc = {
+            "format": "repro-mc-taskset",
+            "version": 1,
+            "levels": levels,
+            "tasks": [{"period": 10.0, "wcets": [1.0, 2.0]}] * 2,
+        }
+        with pytest.raises(ProtocolError, match=r"bad taskset: levels must be") as exc:
+            parse_admit({"taskset": doc, "cores": 8})
+        assert exc.value.status == 400
+
+    def test_accepts_levels_at_cap(self):
+        doc = {
+            "format": "repro-mc-taskset",
+            "version": 1,
+            "levels": MAX_LEVELS,
+            "tasks": [{"period": 10.0, "wcets": [1.0, 2.0]}],
+        }
+        assert parse_admit({"taskset": doc, "cores": 1}).taskset.levels == MAX_LEVELS
 
     @pytest.mark.parametrize("cores", [0, -1, "2", 2.0, True, None])
     def test_rejects_bad_cores(self, ts, cores):

@@ -41,6 +41,7 @@ class TestRegistry:
         assert names == sorted(names)
         assert set(names) >= {
             "probe-scalar-batch",
+            "lockstep-equals-sequential",
             "theorem1-eq7-k2",
             "admission-monotonicity",
             "schedulable-no-miss",
@@ -137,6 +138,25 @@ class TestProbeEquivalenceOracle:
         messages = get_oracle("probe-scalar-batch").check(case)
         assert messages
         assert "scalar/batch probes disagree" in messages[0]
+
+
+class TestLockstepOracle:
+    def test_green_on_healthy_cases(self):
+        for config in (DUAL_CONFIG, PROP_CONFIG):
+            for index in range(3):
+                case = make_case(config, (), seed=7, index=index)
+                assert get_oracle("lockstep-equals-sequential").check(case) == []
+
+    def test_detects_diverging_rule(self, monkeypatch):
+        # A huge tie tolerance turns CA-TPA's min-increment scan into
+        # first fit in the lockstep lanes only: the oracle must notice.
+        monkeypatch.setattr("repro.partition.lockstep.TIE_EPS", 10.0)
+        messages = []
+        for index in range(4):
+            case = make_case(DUAL_CONFIG, (), seed=7, index=index)
+            messages += get_oracle("lockstep-equals-sequential").check(case)
+        assert messages
+        assert "lockstep differs from sequential" in messages[0]
 
 
 class TestServeOfflineOracle:
