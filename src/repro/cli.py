@@ -7,6 +7,10 @@ completed shards are checkpointed to a content-addressed store (default
 answer instantly from cache.  ``--no-store`` opts out; ``--progress``
 streams per-shard timing and cache hit/miss counters to stderr.
 
+Each subcommand has its own parser: a flag another subcommand owns is a
+usage error (exit 2, one ``repro-mc: error:`` line), as is a
+numeric flag outside its range.
+
 Examples
 --------
 Regenerate Figure 1 with 1000 task sets per data point on 8 workers::
@@ -30,7 +34,7 @@ to a minimal JSON repro under ``--repro-dir``::
 
 Instrumented runs write full provenance: ``--json DIR`` drops a
 ``<figure>.manifest.json`` run manifest next to each artifact,
-``--metrics PATH`` dumps the merged counter/summary snapshot, and
+``--metrics PATH`` dumps the merged counter/histogram snapshot, and
 ``--log-json PATH`` streams structured JSONL events.  ``repro-mc
 inspect out/fig1.json`` pretty-prints the manifest of a past run.
 
@@ -52,12 +56,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
-from repro import bench as bench_defaults
+from repro import bench
 from repro._version import __version__
 from repro.engine import Engine, ResultStore, default_store_root
 from repro.experiments.report import (
@@ -67,6 +72,7 @@ from repro.experiments.report import (
 )
 from repro.experiments.sweeps import FIGURES, definition_to_spec
 from repro.experiments.tables import allocation_trace, paper_example_taskset
+from repro.model.io import MAX_LEVELS
 from repro.obs import (
     JsonlSink,
     MetricsRegistry,
@@ -79,6 +85,7 @@ from repro.obs import (
     write_manifest,
 )
 from repro.obs import runtime as obs_runtime
+from repro.obs.live import parse_slo
 from repro.partition.backend import available_backends, get_backend
 from repro.partition.catpa import CATPA
 from repro.partition.classical import FirstFitDecreasing
@@ -137,16 +144,61 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
+def _checked(convert, accept, expected: str):
+    """An argparse ``type=`` that converts with ``convert`` and rejects,
+    as one usage-error line, any text that does not convert or any
+    value ``accept`` refuses."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_level_count = _checked(
+    int, lambda v: 1 <= v <= MAX_LEVELS, f"an integer in [1, {MAX_LEVELS}]"
+)
+_non_negative_float = _checked(
+    float, lambda v: 0 <= v < math.inf, "a finite number >= 0"
+)
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_probability = _checked(float, lambda v: 0 <= v <= 1, "a probability in [0, 1]")
+
+
+def _probe_impl(name: str) -> str:
     try:
-        value = int(text)
+        get_backend(name)
+    except ReproError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name
+
+
+def _slo_rule(text: str) -> str:
+    try:
+        parse_slo(text)
+    except ReproError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+def _burst_factors(text: str) -> tuple[float, ...]:
+    try:
+        factors = tuple(float(tok) for tok in text.split(",") if tok)
     except ValueError:
-        value = 0
-    if value < 1:
         raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}"
-        )
-    return value
+            f"must be a comma-separated float list, got {text!r}"
+        ) from None
+    if not factors:
+        raise argparse.ArgumentTypeError("is empty")
+    return factors
 
 
 class _VersionAction(argparse.Action):
@@ -163,6 +215,29 @@ class _VersionAction(argparse.Action):
         parser.exit()
 
 
+def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """An option group that subcommand parsers attach via ``parents=``."""
+    return argparse.ArgumentParser(add_help=False, parents=parents)
+
+
+def _probe_flags(default: str | None) -> argparse.ArgumentParser:
+    """``--probe-impl``; ``None`` defers to the library default (batch)."""
+    probe = _flags()
+    probe.add_argument(
+        "--probe-impl",
+        metavar="NAME",
+        type=_probe_impl,
+        default=default,
+        help=(
+            "probe backend for every schedulability probe of this "
+            f"invocation; one of: {', '.join(available_backends())} "
+            f"(default {default or 'batch'}).  All backends are pinned "
+            "bit-identical, so results never depend on the choice"
+        ),
+    )
+    return probe
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="repro-mc",
@@ -171,62 +246,56 @@ def build_parser() -> argparse.ArgumentParser:
             "systems: regenerate the paper's figures and tables."
         ),
     )
-    parser.add_argument(
-        "experiment",
-        choices=[
-            *FIGURES.keys(),
-            "tables",
-            "all",
-            "dynamic",
-            "validate",
-            "simulate",
-            "explain",
-            "inspect",
-            "trace",
-            "bench",
-            "serve",
-            "top",
-        ],
-        help=(
-            "which paper artifact to regenerate, 'dynamic' for the "
-            "injected-event resilience sweep, 'validate' to fuzz the "
-            "cross-layer invariant oracles, 'simulate' to run one "
-            "partitioned EDF-VD simulation (optionally with an injected "
-            "event script), 'explain' to decompose one admission decision "
-            "(per-core Theorem-1 condition margins, headroom, rejection "
-            "sensitivity), 'inspect' to pretty-print "
-            "the run manifest of an existing artifact, 'trace' to analyse "
-            "the span tree of an instrumented run, 'bench' to gate "
-            "probe throughput against the committed baselines, 'serve' "
-            "to run the online admission-control daemon, or 'top' for a "
-            "live dashboard over a daemon URL or a sweep's events.jsonl"
-        ),
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        metavar="PATH",
-        help=(
-            "artifact or manifest paths (inspect), an events.jsonl file or "
-            "run directory (trace), the action 'compare' (bench), or a "
-            "daemon URL / events.jsonl / run directory (top)"
-        ),
-    )
     parser.add_argument("--version", action=_VersionAction)
-    parser.add_argument(
+    commands = parser.add_subparsers(dest="experiment", required=True)
+
+    def command(name, handler, summary, *parents):
+        sub = commands.add_parser(
+            name, help=summary, description=summary, parents=parents
+        )
+        sub.set_defaults(handler=handler)
+        return sub
+
+    seed = _flags()
+    seed.add_argument(
+        "--seed", metavar="S", type=int, default=2016, help="root RNG seed"
+    )
+    sweep = _flags(seed)
+    sweep.add_argument(
         "--sets",
+        metavar="N",
         type=_positive_int,
         default=500,
         help="random task sets per data point (paper: 50000; default 500)",
     )
-    parser.add_argument("--seed", type=int, default=2016, help="root RNG seed")
-    parser.add_argument(
+    sweep.add_argument(
         "--jobs",
-        type=int,
+        metavar="J",
+        type=_non_negative_int,
         default=1,
         help="worker processes; 0 = all CPU cores (default 1)",
     )
-    parser.add_argument(
+    sweep.add_argument(
+        "--store",
+        metavar="DIR",
+        default=None,
+        help=(
+            "checkpoint store for completed shards (default: $REPRO_MC_STORE "
+            "or ~/.cache/repro-mc/store); interrupted sweeps resume from it"
+        ),
+    )
+    sweep.add_argument(
+        "--no-store",
+        action="store_true",
+        help="disable shard checkpointing (always recompute)",
+    )
+    sweep.add_argument(
+        "--progress",
+        action="store_true",
+        help="stream per-shard timing and cache hit/miss counts to stderr",
+    )
+    report = _flags()
+    report.add_argument(
         "--out",
         metavar="PATH",
         default=None,
@@ -236,51 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
             "failing command never clobbers an existing report"
         ),
     )
-    parser.add_argument(
-        "--csv",
-        metavar="DIR",
-        default=None,
-        help="also write each figure's data as <DIR>/<figure>.csv",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="DIR",
-        nargs="?",
-        const="-",
-        default=None,
-        help=(
-            "also write each figure's SweepArtifact as <DIR>/<figure>.json; "
-            "for 'explain', bare --json prints the explanation document to "
-            "stdout instead of the text report (a DIR writes "
-            "<DIR>/explain.json)"
-        ),
-    )
-    parser.add_argument(
-        "--store",
-        metavar="DIR",
-        default=None,
-        help=(
-            "checkpoint store for completed shards (default: $REPRO_MC_STORE "
-            "or ~/.cache/repro-mc/store); interrupted sweeps resume from it"
-        ),
-    )
-    parser.add_argument(
-        "--no-store",
-        action="store_true",
-        help="disable shard checkpointing (always recompute)",
-    )
-    parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="stream per-shard timing and cache hit/miss counts to stderr",
-    )
-    parser.add_argument(
+    obs = _flags()
+    obs.add_argument(
         "--log-json",
         metavar="PATH",
         default=None,
         help="stream structured run events (JSON lines) to PATH",
     )
-    parser.add_argument(
+    obs.add_argument(
         "--metrics",
         metavar="PATH",
         default=None,
@@ -289,237 +321,410 @@ def build_parser() -> argparse.ArgumentParser:
             "whole invocation to PATH as JSON"
         ),
     )
-    parser.add_argument(
-        "--probe-impl",
-        metavar="NAME",
-        default=None,
-        help=(
-            "probe backend for every schedulability probe of this "
-            "invocation (figures, validate, serve); one of: "
-            f"{', '.join(available_backends())}.  Defaults: batch for "
-            "sweeps/validate, incremental for serve.  All backends are "
-            "pinned bit-identical, so results never depend on the choice"
-        ),
+    probe = _probe_flags(None)
+    cores = _flags()
+    cores.add_argument(
+        "--cores",
+        metavar="M",
+        type=_positive_int,
+        default=4,
+        help="cores of the target system (default 4)",
     )
-    parser.add_argument(
+    taskset = _flags()
+    taskset.add_argument(
+        "--taskset",
+        metavar="PATH",
+        required=True,
+        help="task-set JSON (repro-mc-taskset format) to partition",
+    )
+    taskset.add_argument(
+        "--scheme",
+        metavar="NAME",
+        default="ca-tpa",
+        help="partitioning scheme from the registry (default ca-tpa)",
+    )
+
+    artifacts = {name: f"regenerate {name} of the paper" for name in FIGURES}
+    artifacts["tables"] = "print the worked example (Tables I-III)"
+    artifacts["all"] = "regenerate every figure and table"
+    for name, summary in artifacts.items():
+        figure = command(name, _run_figures, summary, sweep, report, obs, probe)
+        figure.add_argument(
+            "--csv",
+            metavar="DIR",
+            default=None,
+            help="also write each figure's data as <DIR>/<figure>.csv",
+        )
+        figure.add_argument(
+            "--json",
+            metavar="DIR",
+            default=None,
+            help=(
+                "also write each figure's SweepArtifact as <DIR>/<figure>.json "
+                "plus its run manifest"
+            ),
+        )
+
+    dynamic = command(
+        "dynamic",
+        _run_dynamic,
+        "the injected-event resilience sweep",
+        sweep,
+        report,
+        obs,
+        probe,
+    )
+    dynamic.add_argument(
+        "--burst-factors",
+        metavar="CSV",
+        type=_burst_factors,
+        default=None,
+        help="comma-separated WCET burst factors (default 1.0,1.5,2.0,3.0,4.0)",
+    )
+    dynamic.add_argument(
+        "--json",
+        metavar="DIR",
+        default=None,
+        help="also write the sweep's tallies as <DIR>/dynamic.json",
+    )
+
+    validate = command(
+        "validate",
+        _run_validate,
+        "fuzz the cross-layer invariant oracles and shrink any failure",
+        sweep,
+        report,
+        obs,
+        probe,
+    )
+    validate.add_argument(
         "--repro-dir",
         metavar="DIR",
         default="counterexamples",
-        help=(
-            "where 'validate' writes shrunk counterexample JSON files "
-            "(default: counterexamples/)"
-        ),
+        help="where shrunk counterexample JSON files go (default: counterexamples/)",
     )
-    sim_group = parser.add_argument_group("simulate options")
-    sim_group.add_argument(
-        "--taskset",
-        metavar="PATH",
-        default=None,
-        help=(
-            "simulate/explain: task-set JSON (repro-mc-taskset format) to "
-            "partition (--scheme, --cores) and simulate or explain"
-        ),
+
+    simulate = command(
+        "simulate",
+        _simulate,
+        "one partitioned EDF-VD simulation, optionally under injected events",
+        taskset,
+        cores,
+        seed,
+        report,
+        obs,
     )
-    sim_group.add_argument(
+    simulate.add_argument(
         "--events",
         metavar="PATH",
         default=None,
         help=(
-            "simulate: injected-event script JSON (repro-mc-events "
-            "format); validated up front against the partition"
+            "injected-event script JSON (repro-mc-events format); "
+            "validated up front against the partition"
         ),
     )
-    sim_group.add_argument(
-        "--scheme",
-        default="ca-tpa",
-        help=(
-            "simulate/explain: partitioning scheme from the registry "
-            "(default ca-tpa)"
-        ),
-    )
-    sim_group.add_argument(
+    simulate.add_argument(
         "--scenario",
         choices=("honest", "random", "level"),
         default="random",
         help=(
-            "simulate: execution-demand scenario; 'random' overruns "
-            "with --overrun-prob (default random)"
+            "execution-demand scenario; 'random' overruns with "
+            "--overrun-prob (default random)"
         ),
     )
-    sim_group.add_argument(
+    simulate.add_argument(
         "--overrun-prob",
-        type=float,
+        metavar="P",
+        type=_probability,
         default=0.1,
-        help="simulate: per-job overrun probability of --scenario random",
+        help="per-job overrun probability of --scenario random (default 0.1)",
     )
-    sim_group.add_argument(
+    simulate.add_argument(
         "--cycles",
-        type=float,
+        metavar="C",
+        type=_positive_float,
         default=20.0,
-        help=(
-            "simulate: horizon in multiples of the longest period "
-            "(default 20)"
-        ),
+        help="horizon in multiples of the longest period (default 20)",
     )
-    sim_group.add_argument(
+    simulate.add_argument(
         "--allow-infeasible",
         action="store_true",
         help=(
-            "simulate: run cores that fail the Theorem-1 analysis under "
-            "plain EDF instead of refusing (misses are then expected)"
+            "run cores that fail the Theorem-1 analysis under plain EDF "
+            "instead of refusing (misses are then expected)"
         ),
     )
-    dynamic_group = parser.add_argument_group("dynamic options")
-    dynamic_group.add_argument(
-        "--burst-factors",
-        metavar="CSV",
+
+    explain = command(
+        "explain",
+        _explain,
+        "decompose one admission decision (per-core Theorem-1 margins, "
+        "headroom, rejection sensitivity)",
+        taskset,
+        cores,
+        probe,
+        report,
+    )
+    explain.add_argument(
+        "--json",
+        metavar="DIR|-",
+        nargs="?",
+        const="-",
         default=None,
         help=(
-            "dynamic: comma-separated WCET burst factors to sweep "
-            "(default 1.0,1.5,2.0,3.0,4.0)"
+            "bare --json (or '-') prints the explanation document instead "
+            "of the text report; a DIR writes <DIR>/explain.json too"
         ),
     )
-    trace_group = parser.add_argument_group("trace options")
-    trace_group.add_argument(
+
+    inspect = command(
+        "inspect", _inspect, "pretty-print the run manifest of artifacts", report
+    )
+    inspect.add_argument(
+        "paths", nargs="+", metavar="PATH", help="artifact or manifest paths"
+    )
+
+    trace = command(
+        "trace", _trace, "analyse the span tree of an instrumented run", report
+    )
+    trace.add_argument(
+        "path", metavar="EVENTS", help="an events.jsonl file or run directory"
+    )
+    trace.add_argument(
         "--report",
         action="store_true",
         help=(
-            "trace: print the critical-path + self-time report "
-            "(default when no export flag is given)"
+            "print the critical-path + self-time report (default when no "
+            "export flag is given)"
         ),
     )
-    trace_group.add_argument(
+    trace.add_argument(
         "--folded",
         metavar="PATH",
         default=None,
         help=(
-            "trace: write folded stacks (flamegraph.pl/speedscope input) "
-            "to PATH ('-' for stdout)"
+            "write folded stacks (flamegraph.pl/speedscope input) to PATH "
+            "('-' for stdout)"
         ),
     )
-    trace_group.add_argument(
+    trace.add_argument(
         "--chrome",
         metavar="PATH",
         default=None,
         help=(
-            "trace: write Chrome trace-event JSON (chrome://tracing / "
-            "Perfetto) to PATH ('-' for stdout)"
+            "write Chrome trace-event JSON (chrome://tracing / Perfetto) "
+            "to PATH ('-' for stdout)"
         ),
     )
-    trace_group.add_argument(
+    trace.add_argument(
         "--top",
-        type=int,
+        metavar="N",
+        type=_positive_int,
         default=15,
-        help="trace: rows in the self-time table (default 15)",
+        help="rows in the self-time table (default 15)",
     )
-    serve_group = parser.add_argument_group("serve options")
-    serve_group.add_argument(
-        "--cores",
-        type=int,
-        default=4,
+
+    bench_cmd = command(
+        "bench",
+        _bench,
+        "gate probe throughput against the committed baselines",
+        seed,
+        report,
+    )
+    bench_cmd.add_argument("action", choices=["compare"], metavar="compare")
+    bench_cmd.add_argument(
+        "--sets",
+        metavar="N",
+        type=_positive_int,
+        default=bench.DEFAULT_SETS,
+        help=f"task sets of the quick bench (default {bench.DEFAULT_SETS})",
+    )
+    bench_cmd.add_argument(
+        "--gate-ratio",
+        metavar="R",
+        type=float,
+        default=bench.DEFAULT_GATE_RATIO,
         help=(
-            "serve/simulate/explain: cores of the target system (default 4)"
+            "measured throughput/speedup must be at least this fraction "
+            f"of the committed baseline (default {bench.DEFAULT_GATE_RATIO})"
         ),
     )
-    serve_group.add_argument(
+    bench_cmd.add_argument(
+        "--overhead-gate",
+        metavar="R",
+        type=float,
+        default=bench.DEFAULT_OVERHEAD_GATE,
+        help=(
+            "max median disabled guarded/raw probe ratio "
+            f"(default {bench.DEFAULT_OVERHEAD_GATE})"
+        ),
+    )
+    bench_cmd.add_argument(
+        "--baseline-dir",
+        metavar="DIR",
+        default=None,
+        help=(
+            "directory holding the committed BENCH_*.json baselines "
+            "(default: current directory)"
+        ),
+    )
+
+    serve = command(
+        "serve",
+        _serve,
+        "run the online admission-control daemon",
+        cores,
+        obs,
+        _probe_flags("incremental"),
+    )
+    serve.add_argument(
         "--levels",
-        type=int,
+        metavar="K",
+        type=_level_count,
         default=2,
-        help="serve: criticality levels K of the live system (default 2)",
+        help="criticality levels K of the live system (default 2)",
     )
-    serve_group.add_argument(
+    serve.add_argument(
         "--host",
+        metavar="H",
         default="127.0.0.1",
-        help="serve: bind address (default 127.0.0.1)",
+        help="bind address (default 127.0.0.1)",
     )
-    serve_group.add_argument(
+    serve.add_argument(
         "--port",
+        metavar="P",
         type=int,
         default=8787,
-        help="serve: TCP port; 0 picks an ephemeral port (default 8787)",
+        help="TCP port; 0 picks an ephemeral port (default 8787)",
     )
-    serve_group.add_argument(
+    serve.add_argument(
         "--window-ms",
-        type=float,
+        metavar="W",
+        type=_non_negative_float,
         default=1.0,
         help=(
-            "serve: micro-batch coalescing window in milliseconds; "
-            "concurrent requests arriving within it share one probe "
-            "kernel call (default 1.0)"
+            "micro-batch coalescing window in milliseconds; concurrent "
+            "requests arriving within it share one probe kernel call "
+            "(default 1.0)"
         ),
     )
-    serve_group.add_argument(
+    serve.add_argument(
         "--max-batch",
-        type=int,
+        metavar="N",
+        type=_positive_int,
         default=64,
-        help="serve: max requests per flush (default 64)",
+        help="max requests per flush (default 64)",
     )
-    serve_group.add_argument(
+    serve.add_argument(
         "--backlog",
-        type=int,
+        metavar="N",
+        type=_positive_int,
         default=256,
-        help=(
-            "serve: bounded request queue size; a full queue answers 503 "
-            "(default 256)"
-        ),
+        help="bounded request queue size; a full queue answers 503 (default 256)",
     )
-    serve_group.add_argument(
+    serve.add_argument(
         "--slo",
         action="append",
         metavar="RULE",
+        type=_slo_rule,
         default=None,
         help=(
-            "serve: SLO rule over the live window, e.g. "
+            "SLO rule over the live window, e.g. "
             "'p95(serve.place.seconds) < 5ms' or "
             "'rate(serve.rejected_503) == 0'; repeatable.  Violations "
             "emit slo.alert events and bump the serve.slo.alerts counter"
         ),
     )
-    top_group = parser.add_argument_group("top options")
-    top_group.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        help="top: refresh interval in seconds (default 2.0)",
+
+    top = command(
+        "top",
+        _top,
+        "live dashboard over a daemon URL or a sweep's events.jsonl",
     )
-    top_group.add_argument(
+    top.add_argument(
+        "target",
+        metavar="TARGET",
+        help=(
+            "daemon URL (e.g. http://127.0.0.1:8787), events.jsonl file "
+            "or run directory"
+        ),
+    )
+    top.add_argument(
+        "--interval",
+        metavar="S",
+        type=_positive_float,
+        default=2.0,
+        help="refresh interval in seconds (default 2.0)",
+    )
+    top.add_argument(
         "--once",
         action="store_true",
         help=(
-            "top: render a single frame without terminal control codes "
-            "and exit (for scripts/CI)"
-        ),
-    )
-    bench_group = parser.add_argument_group("bench options")
-    bench_group.add_argument(
-        "--gate-ratio",
-        type=float,
-        default=None,
-        help=(
-            "bench compare: measured throughput/speedup must be at least "
-            "this fraction of the committed baseline (default "
-            f"{bench_defaults.DEFAULT_GATE_RATIO})"
-        ),
-    )
-    bench_group.add_argument(
-        "--overhead-gate",
-        type=float,
-        default=None,
-        help=(
-            "bench compare: max median disabled guarded/raw probe ratio "
-            f"(default {bench_defaults.DEFAULT_OVERHEAD_GATE})"
-        ),
-    )
-    bench_group.add_argument(
-        "--baseline-dir",
-        metavar="DIR",
-        default=None,
-        help=(
-            "bench compare: directory holding the committed BENCH_*.json "
-            "baselines (default: current directory)"
+            "render a single frame without terminal control codes and "
+            "exit (for scripts/CI)"
         ),
     )
     return parser
+
+
+class _Telemetry:
+    """One invocation's instrumentation: a run id, the ``--log-json``
+    sink and the merged registry that ``--metrics`` dumps.
+
+    Enabled by ``--log-json``/``--metrics`` (or ``enabled=True``);
+    otherwise every :meth:`section` runs its block plainly.
+    """
+
+    def __init__(self, args, enabled: bool = False):
+        self.args = args
+        self.enabled = bool(enabled or args.log_json or args.metrics)
+        self.run_id = new_run_id() if self.enabled else None
+        self.sink = JsonlSink(args.log_json) if args.log_json else None
+        self.totals = MetricsRegistry()
+        #: Registry snapshot of the most recent section.
+        self.snapshot = None
+
+    def __enter__(self) -> _Telemetry:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.sink is not None:
+            self.sink.close()
+
+    @contextmanager
+    def section(self, name: str, span_fields: dict | None = None, **start_fields):
+        """Instrument the block: emit ``<name>_start`` with
+        ``start_fields``, then run it inside the ``name`` span — the
+        root of every span the block opens — under a fresh registry
+        that is merged into :attr:`totals`."""
+        if not self.enabled:
+            yield
+            return
+        with obs_runtime.instrument(sink=self.sink, run_id=self.run_id) as state:
+            obs_runtime.emit(f"{name}_start", **start_fields)
+            with obs_runtime.span(name, **(span_fields or {})):
+                yield
+            self.snapshot = state.registry.snapshot()
+            self.totals.merge(state.registry.dump())
+
+    def write_metrics(self) -> None:
+        """Dump the merged snapshot to ``--metrics PATH``, if given."""
+        if self.args.metrics is None:
+            return
+        metrics_path = Path(self.args.metrics)
+        metrics_path.parent.mkdir(parents=True, exist_ok=True)
+        metrics_path.write_text(
+            json.dumps(
+                {
+                    "run_id": self.run_id,
+                    "repro_version": __version__,
+                    "command": self.args.command,
+                    "metrics": self.totals.snapshot(),
+                },
+                indent=2,
+            )
+            + "\n"
+        )
 
 
 def _render_tables() -> str:
@@ -561,15 +766,19 @@ def _progress_hook(stream):
     return hook
 
 
-def _inspect(paths: list[str], out) -> int:
+def _engine_options(args):
+    """``(jobs, store, progress)`` of the engine, from the sweep flags."""
+    store = None
+    if not args.no_store:
+        root = Path(args.store).expanduser() if args.store else default_store_root()
+        store = ResultStore(root)
+    progress = _progress_hook(sys.stderr) if args.progress else None
+    return args.jobs or None, store, progress
+
+
+def _inspect(args) -> int:
     """Pretty-print the run manifest next to each artifact path."""
-    if not paths:
-        print(
-            "repro-mc inspect: pass at least one artifact or manifest path",
-            file=sys.stderr,
-        )
-        return 2
-    for i, raw in enumerate(paths):
+    for i, raw in enumerate(args.paths):
         path = Path(raw)
         if not path.name.endswith(".manifest.json"):
             path = manifest_path_for(path)
@@ -579,8 +788,8 @@ def _inspect(paths: list[str], out) -> int:
             print(f"repro-mc inspect: {exc}", file=sys.stderr)
             return 1
         if i:
-            print("", file=out)
-        print(format_manifest(manifest), file=out)
+            print("", file=args.out)
+        print(format_manifest(manifest), file=args.out)
     return 0
 
 
@@ -598,20 +807,14 @@ def _trace(args) -> int:
     """``repro-mc trace``: analyse/export the span tree of a past run."""
     from repro.obs import trace as trace_mod
 
-    if len(args.paths) != 1:
-        print(
-            "repro-mc trace: pass exactly one events.jsonl file or run directory",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        tree = trace_mod.load_tree(args.paths[0])
+        tree = trace_mod.load_tree(args.path)
     except ReproError as exc:
         print(f"repro-mc trace: {exc}", file=sys.stderr)
         return 1
     if not tree.roots:
         print(
-            f"repro-mc trace: no span events in {args.paths[0]} "
+            f"repro-mc trace: no span events in {args.path} "
             "(was the run instrumented with --log-json?)",
             file=sys.stderr,
         )
@@ -637,48 +840,15 @@ def _trace(args) -> int:
 
 def _bench(args) -> int:
     """``repro-mc bench compare``: quick probe bench vs committed baselines."""
-    from repro import bench
-
-    if args.paths != ["compare"]:
-        print(
-            "repro-mc bench: the only supported action is 'compare' "
-            "(repro-mc bench compare)",
-            file=sys.stderr,
-        )
-        return 2
     code, report = bench.run_compare(
-        sets=args.sets if args.sets != 500 else bench.DEFAULT_SETS,
+        sets=args.sets,
         seed=args.seed,
         baseline_dir=args.baseline_dir,
-        gate_ratio=(
-            bench.DEFAULT_GATE_RATIO if args.gate_ratio is None else args.gate_ratio
-        ),
-        overhead_gate=(
-            bench.DEFAULT_OVERHEAD_GATE
-            if args.overhead_gate is None
-            else args.overhead_gate
-        ),
+        gate_ratio=args.gate_ratio,
+        overhead_gate=args.overhead_gate,
     )
     print(report, file=args.out)
     return code
-
-
-def _write_metrics(args, run_id, command, snapshot) -> None:
-    """Dump the merged instrumentation snapshot to ``--metrics PATH``."""
-    metrics_path = Path(args.metrics)
-    metrics_path.parent.mkdir(parents=True, exist_ok=True)
-    metrics_path.write_text(
-        json.dumps(
-            {
-                "run_id": run_id,
-                "repro_version": __version__,
-                "command": command,
-                "metrics": snapshot,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
 
 
 def _read_taskset(command: str, path: str):
@@ -703,7 +873,7 @@ def _read_taskset(command: str, path: str):
         return None, 2
 
 
-def _simulate(args, command: list[str]) -> int:
+def _simulate(args) -> int:
     """``repro-mc simulate``: one partitioned EDF-VD run, optionally
     under an injected-event script (``--events``)."""
     from repro.model import load_events
@@ -717,18 +887,6 @@ def _simulate(args, command: list[str]) -> int:
         default_horizon,
     )
 
-    if args.paths:
-        print(
-            f"repro-mc simulate: unexpected positional arguments {args.paths}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.taskset is None:
-        print(
-            "repro-mc simulate: --taskset PATH is required",
-            file=sys.stderr,
-        )
-        return 2
     taskset, code = _read_taskset("simulate", args.taskset)
     if taskset is None:
         return code
@@ -768,27 +926,13 @@ def _simulate(args, command: list[str]) -> int:
         events=runtime,
     )
 
-    instrumented = bool(args.log_json or args.metrics)
-    run_id = new_run_id() if instrumented else None
-    sink = JsonlSink(args.log_json) if args.log_json else None
-    snapshot = None
-    try:
-        if instrumented:
-            with obs_runtime.instrument(sink=sink, run_id=run_id) as state:
-                obs_runtime.emit(
-                    "cli.simulate_start",
-                    taskset=args.taskset,
-                    events=args.events,
-                    scheme=args.scheme,
-                )
-                with obs_runtime.span("cli.simulate"):
-                    report = sim.run(seed=args.seed)
-                snapshot = state.registry.snapshot()
-        else:
-            report = sim.run(seed=args.seed)
-    finally:
-        if sink is not None:
-            sink.close()
+    with _Telemetry(args) as telemetry, telemetry.section(
+        "cli.simulate",
+        taskset=args.taskset,
+        events=args.events,
+        scheme=args.scheme,
+    ):
+        report = sim.run(seed=args.seed)
 
     lines = [
         f"simulate: {len(taskset)} tasks on {args.cores} cores "
@@ -801,12 +945,11 @@ def _simulate(args, command: list[str]) -> int:
     for key, value in sorted(report.event_telemetry().items()):
         lines.append(f"  {key}: {value}")
     print("\n".join(lines), file=args.out)
-    if args.metrics is not None:
-        _write_metrics(args, run_id, command, snapshot)
+    telemetry.write_metrics()
     return 0
 
 
-def _run_dynamic(args, jobs, store, progress, command) -> int:
+def _run_dynamic(args) -> int:
     """``repro-mc dynamic``: the injected-event resilience sweep."""
     from repro.experiments.dynamic import (
         DEFAULT_BURST_FACTORS,
@@ -814,60 +957,20 @@ def _run_dynamic(args, jobs, store, progress, command) -> int:
         run_dynamic_sweep,
     )
 
-    if args.burst_factors is None:
-        factors = DEFAULT_BURST_FACTORS
-    else:
-        try:
-            factors = tuple(
-                float(tok) for tok in args.burst_factors.split(",") if tok
-            )
-        except ValueError:
-            print(
-                f"repro-mc dynamic: --burst-factors must be a comma-"
-                f"separated float list, got {args.burst_factors!r}",
-                file=sys.stderr,
-            )
-            return 2
-        if not factors:
-            print(
-                "repro-mc dynamic: --burst-factors is empty", file=sys.stderr
-            )
-            return 2
-    instrumented = bool(args.log_json or args.metrics)
-    run_id = new_run_id() if instrumented else None
-    sink = JsonlSink(args.log_json) if args.log_json else None
-    snapshot = None
+    jobs, store, progress = _engine_options(args)
     start = time.perf_counter()
-    try:
-        if instrumented:
-            with obs_runtime.instrument(sink=sink, run_id=run_id) as state:
-                obs_runtime.emit(
-                    "cli.dynamic_start", sets=args.sets, seed=args.seed
-                )
-                with obs_runtime.span("cli.dynamic"):
-                    result = run_dynamic_sweep(
-                        factors,
-                        sets=args.sets,
-                        seed=args.seed,
-                        jobs=jobs,
-                        store=store,
-                        progress=progress,
-                        probe_impl=args.probe_impl,
-                    )
-                snapshot = state.registry.snapshot()
-        else:
-            result = run_dynamic_sweep(
-                factors,
-                sets=args.sets,
-                seed=args.seed,
-                jobs=jobs,
-                store=store,
-                progress=progress,
-                probe_impl=args.probe_impl,
-            )
-    finally:
-        if sink is not None:
-            sink.close()
+    with _Telemetry(args) as telemetry, telemetry.section(
+        "cli.dynamic", sets=args.sets, seed=args.seed
+    ):
+        result = run_dynamic_sweep(
+            args.burst_factors or DEFAULT_BURST_FACTORS,
+            sets=args.sets,
+            seed=args.seed,
+            jobs=jobs,
+            store=store,
+            progress=progress,
+            probe_impl=args.probe_impl,
+        )
     print(format_dynamic(result), file=args.out)
     print(
         f"[dynamic regenerated in {time.perf_counter() - start:.1f}s]",
@@ -879,19 +982,15 @@ def _run_dynamic(args, jobs, store, progress, command) -> int:
         (directory / "dynamic.json").write_text(
             json.dumps(result.to_dict(), indent=2) + "\n"
         )
-    if args.metrics is not None:
-        _write_metrics(args, run_id, command, snapshot)
+    telemetry.write_metrics()
     return 0
 
 
-def _run_validate(args, jobs, store, progress, command) -> int:
+def _run_validate(args) -> int:
     """``repro-mc validate``: fuzz the oracle registry, shrink failures."""
     from repro.validate import run_campaign, shrink_failure, write_repro
 
-    instrumented = bool(args.log_json or args.metrics)
-    run_id = new_run_id() if instrumented else None
-    sink = JsonlSink(args.log_json) if args.log_json else None
-    snapshot = None
+    jobs, store, progress = _engine_options(args)
     start = time.perf_counter()
     # --probe-impl rides the contextvar: the campaign engine resolves it
     # per evaluate() and forwards it into worker processes + shard keys.
@@ -900,29 +999,12 @@ def _run_validate(args, jobs, store, progress, command) -> int:
         if args.probe_impl
         else nullcontext()
     )
-    try:
-        with impl_ctx:
-            if instrumented:
-                with obs_runtime.instrument(sink=sink, run_id=run_id) as state:
-                    obs_runtime.emit(
-                        "cli.validate_start", sets=args.sets, seed=args.seed
-                    )
-                    with obs_runtime.span("cli.validate"):
-                        result = run_campaign(
-                            args.sets,
-                            args.seed,
-                            jobs=jobs,
-                            store=store,
-                            progress=progress,
-                        )
-                    snapshot = state.registry.snapshot()
-            else:
-                result = run_campaign(
-                    args.sets, args.seed, jobs=jobs, store=store, progress=progress
-                )
-    finally:
-        if sink is not None:
-            sink.close()
+    with impl_ctx, _Telemetry(args) as telemetry, telemetry.section(
+        "cli.validate", sets=args.sets, seed=args.seed
+    ):
+        result = run_campaign(
+            args.sets, args.seed, jobs=jobs, store=store, progress=progress
+        )
     print(result.summary(), file=args.out)
     for failure in result.failures:
         doc = shrink_failure(failure)
@@ -935,48 +1017,15 @@ def _run_validate(args, jobs, store, progress, command) -> int:
         f"[validate done in {time.perf_counter() - start:.1f}s]",
         file=args.out,
     )
-    if args.metrics is not None:
-        metrics_path = Path(args.metrics)
-        metrics_path.parent.mkdir(parents=True, exist_ok=True)
-        metrics_path.write_text(
-            json.dumps(
-                {
-                    "run_id": run_id,
-                    "repro_version": __version__,
-                    "command": command,
-                    "metrics": snapshot,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
+    telemetry.write_metrics()
     return 0 if result.ok else 1
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    command = list(argv) if argv is not None else sys.argv[1:]
-    # The report target opens lazily on first write and is always closed
-    # here, whatever exit path the subcommand takes.
-    args.out = _LazyOutput(args.out)
-    try:
-        return _dispatch(args, command)
-    finally:
-        args.out.close()
-
-
-def _serve(args, command: list[str]) -> int:
+def _serve(args) -> int:
     """``repro-mc serve``: run the online admission-control daemon."""
-    from repro.obs.live import parse_slo
     from repro.serve import ServeConfig
     from repro.serve.daemon import run_forever
 
-    for rule in args.slo or []:
-        try:
-            parse_slo(rule)
-        except ReproError as exc:
-            print(f"repro-mc serve: {exc}", file=sys.stderr)
-            return 2
     config = ServeConfig(
         cores=args.cores,
         levels=args.levels,
@@ -985,11 +1034,11 @@ def _serve(args, command: list[str]) -> int:
         window_ms=args.window_ms,
         max_batch=args.max_batch,
         backlog=args.backlog,
-        probe_impl=args.probe_impl or "incremental",
+        probe_impl=args.probe_impl,
         metrics_path=args.metrics,
         log_json=args.log_json,
         slo=args.slo or [],
-        command=command,
+        command=args.command,
     )
     return run_forever(config)
 
@@ -998,17 +1047,9 @@ def _top(args) -> int:
     """``repro-mc top``: live dashboard over a daemon URL or events file."""
     from repro.obs.top import run_top
 
-    if len(args.paths) != 1:
-        print(
-            "repro-mc top: pass exactly one daemon URL "
-            "(e.g. http://127.0.0.1:8787) or an events.jsonl file / run "
-            "directory",
-            file=sys.stderr,
-        )
-        return 2
     try:
         return run_top(
-            args.paths[0],
+            args.target,
             interval=args.interval,
             once=args.once,
             stream=sys.stdout,
@@ -1020,34 +1061,16 @@ def _top(args) -> int:
         return 0
 
 
-def _explain_cmd(args) -> int:
+def _explain(args) -> int:
     """``repro-mc explain``: decompose one admission decision.
 
-    The task set comes from ``--taskset PATH`` or a single positional
-    path.  ``--json`` (bare) prints the :class:`ProbeExplanation`
-    document to stdout; ``--json DIR`` writes ``<DIR>/explain.json``
-    and still prints the text report; neither prints the report only.
+    ``--json`` (bare) prints the :class:`ProbeExplanation` document to
+    stdout; ``--json DIR`` writes ``<DIR>/explain.json`` and still
+    prints the text report; neither prints the report only.
     """
     from repro.analysis.explain import explain_admission, format_explanation
 
-    if args.taskset is not None and args.paths:
-        print(
-            "repro-mc explain: pass the task set either as --taskset PATH "
-            "or as one positional path, not both",
-            file=sys.stderr,
-        )
-        return 2
-    path = args.taskset if args.taskset is not None else (
-        args.paths[0] if len(args.paths) == 1 else None
-    )
-    if path is None:
-        print(
-            "repro-mc explain: exactly one task-set JSON is required "
-            "(--taskset PATH or a positional path)",
-            file=sys.stderr,
-        )
-        return 2
-    taskset, code = _read_taskset("explain", path)
+    taskset, code = _read_taskset("explain", args.taskset)
     if taskset is None:
         return code
     exp = explain_admission(
@@ -1072,72 +1095,15 @@ def _explain_cmd(args) -> int:
     return 0
 
 
-def _dispatch(args, command: list[str]) -> int:
-    if args.probe_impl is not None:
-        try:
-            get_backend(args.probe_impl)
-        except ReproError as exc:
-            print(f"repro-mc: {exc}", file=sys.stderr)
-            return 2
-    if args.experiment == "explain":
-        try:
-            return _explain_cmd(args)
-        except ReproError as exc:
-            print(f"repro-mc explain: {exc}", file=sys.stderr)
-            return 1
-    if args.json == "-":
-        print(
-            "repro-mc: bare --json (print to stdout) is only supported by "
-            "'explain'; pass --json DIR",
-            file=sys.stderr,
-        )
-        return 2
-    if args.experiment == "inspect":
-        return _inspect(args.paths, args.out)
-    if args.experiment == "trace":
-        return _trace(args)
-    if args.experiment == "bench":
-        return _bench(args)
-    if args.experiment == "serve":
-        return _serve(args, command)
-    if args.experiment == "top":
-        return _top(args)
-    if args.experiment == "simulate":
-        try:
-            return _simulate(args, command)
-        except ReproError as exc:
-            print(f"repro-mc simulate: {exc}", file=sys.stderr)
-            return 1
-    if args.paths:
-        print(
-            f"repro-mc {args.experiment}: unexpected positional arguments "
-            f"{args.paths} (paths are for the inspect subcommand)",
-            file=sys.stderr,
-        )
-        return 2
-    jobs = None if args.jobs == 0 else args.jobs
-    names = list(FIGURES) + ["tables"] if args.experiment == "all" else [args.experiment]
-
-    store = None
-    if not args.no_store:
-        root = Path(args.store).expanduser() if args.store else default_store_root()
-        store = ResultStore(root)
-    progress = _progress_hook(sys.stderr) if args.progress else None
-
-    if args.experiment == "validate":
-        return _run_validate(args, jobs, store, progress, command)
-    if args.experiment == "dynamic":
-        return _run_dynamic(args, jobs, store, progress, command)
-
+def _run_figures(args) -> int:
+    """``repro-mc fig1..fig5|tables|all``: regenerate paper artifacts."""
+    names = [*FIGURES, "tables"] if args.experiment == "all" else [args.experiment]
+    jobs, store, progress = _engine_options(args)
     # One run id + (optional) shared event log per invocation; each
     # figure gets a fresh registry whose dump is merged into the totals
-    # that --metrics writes at the end.
-    instrumented = bool(args.log_json or args.metrics or args.json)
-    run_id = new_run_id() if instrumented else None
-    sink = JsonlSink(args.log_json) if args.log_json else None
-    totals = MetricsRegistry()
-
-    try:
+    # that --metrics writes at the end.  A --json run is instrumented
+    # too, so its manifests carry each figure's metrics.
+    with _Telemetry(args, enabled=args.json is not None) as telemetry:
         for name in names:
             start = time.perf_counter()
             if name == "tables":
@@ -1152,19 +1118,12 @@ def _dispatch(args, command: list[str]) -> int:
                 spec = definition_to_spec(
                     FIGURES[name](), sets=args.sets, seed=args.seed
                 )
-                figure_metrics = None
-                if instrumented:
-                    with obs_runtime.instrument(sink=sink, run_id=run_id) as state:
-                        obs_runtime.emit("cli.figure_start", figure=name)
-                        # The run's root span: every engine/worker span of
-                        # this figure hangs off it, so `repro-mc trace`
-                        # sees one rooted tree whose duration is the
-                        # figure's wall clock.
-                        with obs_runtime.span("cli.figure", figure=name):
-                            artifact = engine.run(spec)
-                        figure_metrics = state.registry.snapshot()
-                        totals.merge(state.registry.dump())
-                else:
+                # The run's root span: every engine/worker span of this
+                # figure hangs off it, so `repro-mc trace` sees one rooted
+                # tree whose duration is the figure's wall clock.
+                with telemetry.section(
+                    "cli.figure", {"figure": name}, figure=name
+                ):
                     artifact = engine.run(spec)
                 text = format_sweep(artifact)
                 if args.csv is not None:
@@ -1179,15 +1138,15 @@ def _dispatch(args, command: list[str]) -> int:
                     artifact_path = directory / f"{name}.json"
                     artifact_path.write_text(artifact.to_json() + "\n")
                     manifest = build_manifest(
-                        run_id=run_id,
-                        command=command,
+                        run_id=telemetry.run_id,
+                        command=args.command,
                         figure=name,
                         sets=args.sets,
                         seed=args.seed,
                         jobs=args.jobs,
                         artifact_path=artifact_path,
                         engine_stats=engine.stats.as_dict(),
-                        metrics=figure_metrics,
+                        metrics=telemetry.snapshot,
                         events_log=args.log_json,
                     )
                     write_manifest(manifest_path_for(artifact_path), manifest)
@@ -1202,26 +1161,28 @@ def _dispatch(args, command: list[str]) -> int:
             elapsed = time.perf_counter() - start
             print(text, file=args.out)
             print(f"[{name} regenerated in {elapsed:.1f}s]\n", file=args.out)
-    finally:
-        if sink is not None:
-            sink.close()
-
-    if args.metrics is not None:
-        metrics_path = Path(args.metrics)
-        metrics_path.parent.mkdir(parents=True, exist_ok=True)
-        metrics_path.write_text(
-            json.dumps(
-                {
-                    "run_id": run_id,
-                    "repro_version": __version__,
-                    "command": command,
-                    "metrics": totals.snapshot(),
-                },
-                indent=2,
-            )
-            + "\n"
-        )
+    telemetry.write_metrics()
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # A usage error (2), --help or --version (0); argparse has
+        # already printed the message.
+        return exc.code
+    args.command = list(argv) if argv is not None else sys.argv[1:]
+    # The report target opens lazily on first write and is always closed
+    # here, whatever exit path the subcommand takes.
+    args.out = _LazyOutput(getattr(args, "out", None))
+    try:
+        return args.handler(args)
+    except ReproError as exc:
+        print(f"repro-mc {args.experiment}: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        args.out.close()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,9 +11,29 @@ from repro import cli
 from repro._version import __version__
 from repro.engine import SweepArtifact
 from repro.experiments import sweeps
+from repro.model.io import MAX_LEVELS
 from repro.obs import load_manifest
 
 SUBCOMMANDS = ["fig1", "fig2", "fig3", "fig4", "fig5", "tables", "all", "validate"]
+COMMANDS = [
+    *SUBCOMMANDS,
+    "dynamic",
+    "simulate",
+    "explain",
+    "inspect",
+    "trace",
+    "bench",
+    "serve",
+    "top",
+]
+
+
+def _usage_error(capsys) -> str:
+    """The stderr of a rejected command line: one line, no traceback."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
 
 
 def _tiny_fig1():
@@ -60,12 +80,10 @@ class TestParser:
 
     @pytest.mark.parametrize("sets", ["0", "-3", "many"])
     def test_non_positive_sets_rejected_in_one_line(self, sets, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["fig1", "--sets", sets])
-        assert exc.value.code == 2
+        assert cli.main(["fig1", "--sets", sets]) == 2
         err = capsys.readouterr().err
         assert err == (
-            "repro-mc: error: argument --sets: "
+            "repro-mc fig1: error: argument --sets: "
             f"must be a positive integer, got {sets!r}\n"
         )
 
@@ -113,7 +131,7 @@ class TestParser:
             ]
         )
         assert args.experiment == "trace"
-        assert args.paths == ["events.jsonl"]
+        assert args.path == "events.jsonl"
         assert args.report
         assert args.folded == "out.folded"
         assert args.chrome == "out.json"
@@ -133,7 +151,7 @@ class TestParser:
             ]
         )
         assert args.experiment == "bench"
-        assert args.paths == ["compare"]
+        assert args.action == "compare"
         assert args.gate_ratio == 0.5
         assert args.overhead_gate == 1.2
         assert args.baseline_dir == "baselines"
@@ -145,6 +163,93 @@ class TestParser:
         assert args.probe_impl == "incremental"
         # Default: defer to the library's contextvar default.
         assert cli.build_parser().parse_args(["fig1"]).probe_impl is None
+
+
+SIMULATE = ["simulate", "--taskset", "t.json"]
+
+
+class TestUsageErrors:
+    """Each subcommand owns its flags and their ranges: anything else
+    exits 2 with one stderr line before any work starts."""
+
+    @pytest.fixture(autouse=True)
+    def _no_work(self, monkeypatch):
+        # A command line that wrongly parses must not start a daemon or
+        # a sweep inside the test run.
+        def ran(args):
+            pytest.fail(f"{args.experiment} ran")
+
+        handlers = ("_run_figures", "_simulate", "_explain", "_trace", "_serve", "_top")
+        for handler in handlers:
+            monkeypatch.setattr(cli, handler, ran)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["serve", "--max-batch", "0"], "--max-batch"),
+            (["serve", "--cores", "0"], "--cores"),
+            (["serve", "--levels", "0"], "--levels"),
+            (["serve", "--levels", str(MAX_LEVELS + 1)], "--levels"),
+            (["serve", "--backlog", "0"], "--backlog"),
+            (["serve", "--window-ms", "-1"], "--window-ms"),
+            (["serve", "--window-ms", "nan"], "--window-ms"),
+            (["fig1", "--jobs", "-2"], "--jobs"),
+            (["trace", "e.jsonl", "--top", "0"], "--top"),
+            (["top", "e.jsonl", "--interval", "0"], "--interval"),
+            (SIMULATE + ["--cycles", "0"], "--cycles"),
+            (SIMULATE + ["--overrun-prob", "-0.1"], "--overrun-prob"),
+            (SIMULATE + ["--overrun-prob", "1.5"], "--overrun-prob"),
+            (["explain", "--taskset", "t.json", "--cores", "0"], "--cores"),
+        ],
+    )
+    def test_out_of_range_flag_exits_two(self, capsys, argv, flag):
+        assert cli.main(argv) == 2
+        err = _usage_error(capsys)
+        assert err.startswith(f"repro-mc {argv[0]}: error: argument {flag}: must be")
+
+    @pytest.mark.parametrize(
+        "argv, dest, value",
+        [
+            (["serve", "--levels", str(MAX_LEVELS)], "levels", MAX_LEVELS),
+            (["serve", "--window-ms", "0"], "window_ms", 0.0),
+            (["fig1", "--jobs", "0"], "jobs", 0),
+            (SIMULATE + ["--overrun-prob", "0"], "overrun_prob", 0.0),
+            (SIMULATE + ["--overrun-prob", "1"], "overrun_prob", 1.0),
+        ],
+    )
+    def test_inclusive_bounds_parse(self, argv, dest, value):
+        assert getattr(cli.build_parser().parse_args(argv), dest) == value
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["serve", "--sets", "5"], "--sets"),
+            (["serve", "--out", "r.txt"], "--out"),
+            (["top", "x", "--jobs", "2"], "--jobs"),
+            (["top", "x", "--out", "r.txt"], "--out"),
+            (["inspect", "a.json", "--probe-impl", "batch"], "--probe-impl"),
+            (["fig1", "--taskset", "t.json"], "--taskset"),
+            (["tables", "--cores", "2"], "--cores"),
+            (["validate", "--csv", "d"], "--csv"),
+            (["bench", "compare", "--probe-impl", "batch"], "--probe-impl"),
+            (SIMULATE + ["--sets", "3"], "--sets"),
+            (["explain", "--taskset", "t.json", "--metrics", "m.json"], "--metrics"),
+            (["trace", "e.jsonl", "--jobs", "2"], "--jobs"),
+        ],
+    )
+    def test_flag_of_another_command_rejected(self, capsys, argv, flag):
+        assert cli.main(argv) == 2
+        assert f"unrecognized arguments: {flag}" in _usage_error(capsys)
+
+    def test_bare_json_needs_a_directory_outside_explain(self, capsys):
+        assert cli.main(["fig1", "--json"]) == 2
+        err = _usage_error(capsys)
+        assert err.startswith("repro-mc fig1: error: argument --json:")
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_every_command_has_help(self, capsys, name):
+        assert cli.main([name, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: repro-mc {name} ")
 
 
 class TestProbeImpl:
@@ -234,7 +339,7 @@ class TestMain:
 
     def test_stray_paths_on_figure_subcommand_rejected(self, capsys):
         assert cli.main(["fig1", "whoops.json"]) == 2
-        assert "inspect subcommand" in capsys.readouterr().err
+        assert "unrecognized arguments: whoops.json" in _usage_error(capsys)
 
 
 class TestObservability:
@@ -450,7 +555,9 @@ class TestTraceCommand:
 
     def test_trace_without_path_errors(self, capsys):
         assert cli.main(["trace"]) == 2
-        assert "exactly one" in capsys.readouterr().err
+        err = _usage_error(capsys)
+        assert err.startswith("repro-mc trace: error:")
+        assert "required: EVENTS" in err
 
     def test_trace_missing_file_errors(self, tmp_path, capsys):
         assert cli.main(["trace", str(tmp_path / "nope.jsonl")]) == 1
@@ -500,6 +607,21 @@ class TestBenchCommand:
         assert cli.main(["bench"]) == 2
         assert "compare" in capsys.readouterr().err
 
+    def test_sets_reaches_run_compare_verbatim(self, monkeypatch, capsys):
+        from repro import bench
+
+        seen = []
+
+        def fake_run_compare(**kwargs):
+            seen.append(kwargs["sets"])
+            return 0, "ok"
+
+        monkeypatch.setattr(bench, "run_compare", fake_run_compare)
+        assert cli.main(["bench", "compare", "--sets", "500"]) == 0
+        assert cli.main(["bench", "compare"]) == 0
+        assert seen == [500, 12]
+        assert bench.DEFAULT_SETS == 12
+
 
 class TestInspect:
     def test_inspect_pretty_prints_manifest(self, tiny_fig1, capsys):
@@ -521,7 +643,9 @@ class TestInspect:
 
     def test_inspect_without_paths_errors(self, capsys):
         assert cli.main(["inspect"]) == 2
-        assert "at least one" in capsys.readouterr().err
+        err = _usage_error(capsys)
+        assert err.startswith("repro-mc inspect: error:")
+        assert "required: PATH" in err
 
     def test_inspect_missing_manifest_errors(self, tmp_path, capsys):
         assert cli.main(["inspect", str(tmp_path / "nope.json")]) == 1
@@ -543,9 +667,8 @@ class TestLazyOut:
 
     def test_parse_error_does_not_create_out(self, tmp_path, capsys):
         out = tmp_path / "never.txt"
-        with pytest.raises(SystemExit):
-            cli.main(["no-such-experiment", "--out", str(out)])
-        capsys.readouterr()
+        assert cli.main(["no-such-experiment", "--out", str(out)]) == 2
+        assert "invalid choice: 'no-such-experiment'" in _usage_error(capsys)
         assert not out.exists()
 
     def test_successful_command_writes_out(self, tmp_path, capsys):
@@ -610,14 +733,17 @@ class TestTopCommand:
             ["top", "http://127.0.0.1:8787", "--interval", "0.5", "--once"]
         )
         assert args.experiment == "top"
-        assert args.paths == ["http://127.0.0.1:8787"]
+        assert args.target == "http://127.0.0.1:8787"
         assert args.interval == 0.5
         assert args.once
 
     def test_requires_exactly_one_target(self, capsys):
         assert cli.main(["top"]) == 2
-        assert "exactly one" in capsys.readouterr().err
+        err = _usage_error(capsys)
+        assert err.startswith("repro-mc top: error:")
+        assert "required: TARGET" in err
         assert cli.main(["top", "a", "b"]) == 2
+        assert "unrecognized arguments: b" in _usage_error(capsys)
 
     def test_renders_once_from_sweep_events(self, tmp_path, capsys):
         log = tmp_path / "events.jsonl"
@@ -725,12 +851,13 @@ class TestSimulateCommand:
 
     def test_requires_taskset(self, capsys):
         assert cli.main(["simulate"]) == 2
-        assert "--taskset PATH is required" in capsys.readouterr().err
+        err = _usage_error(capsys)
+        assert err.startswith("repro-mc simulate: error:")
+        assert "required: --taskset" in err
 
     def test_stray_paths_rejected(self, capsys):
-        assert cli.main(self._args()[:1] + ["whoops.json"]) == 2
-        err = capsys.readouterr().err
-        assert "unexpected positional arguments" in err
+        assert cli.main(self._args("whoops.json")) == 2
+        assert "unrecognized arguments: whoops.json" in _usage_error(capsys)
 
     def test_plain_run_prints_telemetry(self, capsys):
         assert cli.main(self._args()) == 0
@@ -797,13 +924,13 @@ class TestDynamicCommand:
             ["dynamic", "--burst-factors", "1.0,2.5"]
         )
         assert args.experiment == "dynamic"
-        assert args.burst_factors == "1.0,2.5"
+        assert args.burst_factors == (1.0, 2.5)
 
     def test_bad_burst_factors_exit_two(self, capsys):
         assert cli.main(["dynamic", "--burst-factors", "1.0,oops"]) == 2
-        assert "comma-separated float list" in capsys.readouterr().err
+        assert "comma-separated float list" in _usage_error(capsys)
         assert cli.main(["dynamic", "--burst-factors", ","]) == 2
-        assert "is empty" in capsys.readouterr().err
+        assert "--burst-factors: is empty" in _usage_error(capsys)
 
     def test_tiny_run_prints_table_and_json(self, tmp_path, capsys):
         out_dir = tmp_path / "artifacts"

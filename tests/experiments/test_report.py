@@ -109,11 +109,13 @@ class TestCLI:
         assert "FIG1" in out
         assert "Schedulability ratio" in out
 
-    def test_unknown_experiment_rejected(self):
+    def test_unknown_experiment_rejected(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit):
-            main(["not-a-figure"])
+        assert main(["not-a-figure"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "invalid choice: 'not-a-figure'" in err
 
 
 class TestCLIOutput:
