@@ -8,7 +8,7 @@ answer instantly from cache.  ``--no-store`` opts out; ``--progress``
 streams per-shard timing and cache hit/miss counters to stderr.
 
 Each subcommand has its own parser: a flag another subcommand owns is a
-usage error (exit 2, one ``repro-mc: error:`` line), as is a
+usage error (exit 2, one ``repro-mc <cmd>: error:`` line), as is a
 numeric flag outside its range.
 
 Examples
@@ -72,7 +72,7 @@ from repro.experiments.report import (
 )
 from repro.experiments.sweeps import FIGURES, definition_to_spec
 from repro.experiments.tables import allocation_trace, paper_example_taskset
-from repro.model.io import MAX_LEVELS
+from repro.model.io import MAX_LEVELS, load_events, load_taskset
 from repro.obs import (
     JsonlSink,
     MetricsRegistry,
@@ -137,11 +137,18 @@ class _LazyOutput:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as one ``repro-mc: error: ...`` line
-    (exit 2) instead of the multi-line usage block."""
+    """Reports a bad command line as one ``repro-mc[ <cmd>]: error: ...``
+    line (exit 2) instead of the multi-line usage block; a subcommand
+    reports the arguments it does not know under its own prog."""
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _checked(convert, accept, expected: str):
@@ -851,32 +858,29 @@ def _bench(args) -> int:
     return code
 
 
-def _read_taskset(command: str, path: str):
-    """Load a task-set document for ``command``: ``(taskset, exit code)``.
+def _read_document(command: str, path: str, load, what: str):
+    """``load(path)`` for ``command``: ``(document, exit code)``.
 
-    On success the code is 0.  Otherwise the taskset is ``None``, one
+    On success the code is 0.  Otherwise the document is ``None``, one
     stderr line names the error, and the code is 2 for a malformed
     document (a usage error) or 1 for an unreadable path.
     """
-    from repro.model import load_taskset
-
     try:
-        return load_taskset(path), 0
+        return load(path), 0
     except OSError as exc:
         print(
             f"repro-mc {command}: cannot read {path}: {exc.strerror}",
             file=sys.stderr,
         )
         return None, 1
-    except (ReproError, ValueError) as exc:
-        print(f"repro-mc {command}: bad task set {path}: {exc}", file=sys.stderr)
+    except ReproError as exc:
+        print(f"repro-mc {command}: bad {what} {path}: {exc}", file=sys.stderr)
         return None, 2
 
 
 def _simulate(args) -> int:
     """``repro-mc simulate``: one partitioned EDF-VD run, optionally
     under an injected-event script (``--events``)."""
-    from repro.model import load_events
     from repro.partition.registry import get_partitioner
     from repro.sched import (
         EventInjectionRuntime,
@@ -887,7 +891,7 @@ def _simulate(args) -> int:
         default_horizon,
     )
 
-    taskset, code = _read_taskset("simulate", args.taskset)
+    taskset, code = _read_document("simulate", args.taskset, load_taskset, "task set")
     if taskset is None:
         return code
     result = get_partitioner(args.scheme).partition(taskset, args.cores)
@@ -910,9 +914,12 @@ def _simulate(args) -> int:
     horizon = default_horizon(result.partition, cycles=args.cycles)
     runtime = None
     if args.events is not None:
-        runtime = EventInjectionRuntime(
-            load_events(args.events), horizon=horizon
+        events, code = _read_document(
+            "simulate", args.events, load_events, "event script"
         )
+        if events is None:
+            return code
+        runtime = EventInjectionRuntime(events, horizon=horizon)
     scenario = {
         "honest": lambda: HonestScenario(),
         "random": lambda: RandomScenario(overrun_prob=args.overrun_prob),
@@ -1070,7 +1077,7 @@ def _explain(args) -> int:
     """
     from repro.analysis.explain import explain_admission, format_explanation
 
-    taskset, code = _read_taskset("explain", args.taskset)
+    taskset, code = _read_document("explain", args.taskset, load_taskset, "task set")
     if taskset is None:
         return code
     exp = explain_admission(

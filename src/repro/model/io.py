@@ -1,4 +1,4 @@
-"""JSON (de)serialization for task sets and partitions.
+"""JSON (de)serialization for task sets, partitions and event scripts.
 
 A stable on-disk format so workload corpora and partitioning decisions
 can be shared between runs, tools and languages:
@@ -16,7 +16,7 @@ can be shared between runs, tools and languages:
     }
 
 Partitions serialize as the task set plus the core count and the
-task->core assignment vector.
+task->core assignment vector (one entry per task, ``-1`` = unassigned).
 
 Injection-event files (``repro-mc-events``, schema v1) hold a list of
 :class:`repro.sched.events.SimEvent` records for ``repro-mc simulate
@@ -39,14 +39,22 @@ Injection-event files (``repro-mc-events``, schema v1) hold a list of
     }
 
 Instantaneous kinds may write ``"time"`` instead of the equal
-``"start"``/``"end"`` pair.  Structural validation (kinds, durations,
-payload types) happens in the :class:`~repro.sched.events.SimEvent`
-constructor, so a malformed file fails at load, not mid-simulation.
+``"start"``/``"end"`` pair.
+
+This module is the one decode boundary: the CLI loaders, the serve
+daemon's request parsers and the event loader all read through it.
+Numbers must be finite JSON numbers (not ``bool``, not strings, not
+integers beyond float range); counts and indices must be JSON integers,
+names and kinds strings.  A wrong type or shape, or a file that is not
+UTF-8 JSON, raises :class:`~repro.types.ModelError` naming the field.
+Values are checked by the constructors (``MCTask``, ``MCTaskSet``,
+``Partition``, ``SimEvent``), so a bad file fails at load.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -83,48 +91,117 @@ _VERSION = 1
 MAX_LEVELS = 64
 
 
+_MISSING = object()
+
+
+def _read_json(path: str | Path) -> object:
+    """The JSON value in ``path``: ``OSError`` if unreadable, else ModelError."""
+    raw = Path(path).read_bytes()
+    try:
+        return json.loads(raw)
+    except (ValueError, RecursionError) as exc:  # syntax, encoding, nesting
+        raise ModelError(f"not a JSON document: {exc}") from exc
+
+
+def _open(data: object, fmt: str) -> dict[str, Any]:
+    """The header check of every document: an object of ``fmt``, version 1."""
+    doc = _object(data, "", f"a {fmt} document")
+    if doc.get("format") != fmt:
+        raise ModelError(f"not a {fmt} document: format={doc.get('format')!r:.40}")
+    version = doc.get("version")
+    if isinstance(version, bool) or version != _VERSION:
+        raise ModelError(f"unsupported version {version!r:.40}")
+    return doc
+
+
+def _malformed(where: str, problem: str) -> ModelError:
+    """``problem`` in the entry ``where`` ("" = the document itself)."""
+    return ModelError(f"malformed {where}: {problem}" if where else problem)
+
+
+def _reader(accept, expected: str):
+    """A typed field reader: ``read(value, where, key)`` returns ``value``."""
+
+    def read(value: object, where: str, key: str):
+        if accept(value):
+            return value
+        raise _malformed(where, f"{key} must be {expected}, got {value!r:.40}")
+
+    return read
+
+
+def _list_of(read):
+    def read_list(value: object, where: str, key: str) -> tuple:
+        return tuple(read(v, where, f"{key} entry") for v in _list(value, where, key))
+
+    return read_list
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value: object) -> bool:
+    try:
+        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
+_number = _reader(_is_finite_number, "a finite number")
+_integer = _reader(_is_int, "an integer")
+_string = _reader(lambda v: isinstance(v, str), "a string")
+_list = _reader(lambda v: isinstance(v, list), "a list")
+_object = _reader(lambda v: isinstance(v, dict), "an object")
+_numbers = _list_of(_number)
+_integers = _list_of(_integer)
+_levels = _reader(
+    lambda v: _is_int(v) and 1 <= v <= MAX_LEVELS, f"an integer in [1, {MAX_LEVELS}]"
+)
+
+
+def _field(obj: dict, key: str, where: str, read, default: Any = _MISSING):
+    """``obj[key]`` through the typed reader ``read``; ``default`` if absent."""
+    if key in obj:
+        return read(obj[key], where, key)
+    if default is _MISSING:
+        raise _malformed(where, f"missing field {key!r}")
+    return default
+
+
+def _task_from_entry(entry: object, where: str = "task") -> MCTask:
+    """Decode one ``{period, wcets, name?}`` task entry."""
+    entry = _object(entry, where, "entry")
+    return MCTask(
+        wcets=_field(entry, "wcets", where, _numbers),
+        period=_field(entry, "period", where, _number),
+        name=_field(entry, "name", where, _string, ""),
+    )
+
+
+def _task_to_entry(task: MCTask) -> dict[str, Any]:
+    return {"name": task.name, "period": task.period, "wcets": list(task.wcets)}
+
+
 def taskset_to_dict(taskset: MCTaskSet) -> dict[str, Any]:
     """A JSON-ready dict describing ``taskset``."""
     return {
         "format": _TASKSET_FORMAT,
         "version": _VERSION,
         "levels": taskset.levels,
-        "tasks": [
-            {"name": t.name, "period": t.period, "wcets": list(t.wcets)}
-            for t in taskset
-        ],
+        "tasks": [_task_to_entry(t) for t in taskset],
     }
 
 
-def taskset_from_dict(data: dict[str, Any]) -> MCTaskSet:
-    """Inverse of :func:`taskset_to_dict` (validates format/version)."""
-    if data.get("format") != _TASKSET_FORMAT:
-        raise ModelError(
-            f"not a {_TASKSET_FORMAT} document: format={data.get('format')!r}"
-        )
-    if data.get("version") != _VERSION:
-        raise ModelError(f"unsupported version {data.get('version')!r}")
-    try:
-        tasks = [
-            MCTask(
-                wcets=tuple(entry["wcets"]),
-                period=entry["period"],
-                name=entry.get("name", ""),
-            )
-            for entry in data["tasks"]
-        ]
-        levels = data["levels"]
-    except (KeyError, TypeError) as exc:
-        raise ModelError(f"malformed task set document: {exc}") from exc
-    if (
-        isinstance(levels, bool)
-        or not isinstance(levels, int)
-        or not 1 <= levels <= MAX_LEVELS
-    ):
-        raise ModelError(
-            f"levels must be an integer in [1, {MAX_LEVELS}], got {levels!r:.40}"
-        )
-    return MCTaskSet(tasks, levels=levels)
+def taskset_from_dict(data: object) -> MCTaskSet:
+    """Inverse of :func:`taskset_to_dict`; raises :class:`ModelError`."""
+    doc = _open(data, _TASKSET_FORMAT)
+    levels = _field(doc, "levels", "", _levels)
+    tasks = _field(doc, "tasks", "", _list)
+    return MCTaskSet(
+        [_task_from_entry(entry, f"task #{i}") for i, entry in enumerate(tasks)],
+        levels=levels,
+    )
 
 
 def save_taskset(taskset: MCTaskSet, path: str | Path) -> None:
@@ -132,7 +209,7 @@ def save_taskset(taskset: MCTaskSet, path: str | Path) -> None:
 
 
 def load_taskset(path: str | Path) -> MCTaskSet:
-    return taskset_from_dict(json.loads(Path(path).read_text()))
+    return taskset_from_dict(_read_json(path))
 
 
 def partition_to_dict(partition: Partition) -> dict[str, Any]:
@@ -146,21 +223,15 @@ def partition_to_dict(partition: Partition) -> dict[str, Any]:
     }
 
 
-def partition_from_dict(data: dict[str, Any]) -> Partition:
-    """Inverse of :func:`partition_to_dict`."""
-    if data.get("format") != _PARTITION_FORMAT:
-        raise ModelError(
-            f"not a {_PARTITION_FORMAT} document: format={data.get('format')!r}"
-        )
-    if data.get("version") != _VERSION:
-        raise ModelError(f"unsupported version {data.get('version')!r}")
-    taskset = taskset_from_dict(data["taskset"])
-    try:
-        return Partition.from_assignment(
-            taskset, int(data["cores"]), data["assignment"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise ModelError(f"malformed partition document: {exc}") from exc
+def partition_from_dict(data: object) -> Partition:
+    """Inverse of :func:`partition_to_dict` (core ranges: ``PartitionError``)."""
+    doc = _open(data, _PARTITION_FORMAT)
+    taskset = taskset_from_dict(doc.get("taskset"))
+    cores = _field(doc, "cores", "", _integer)
+    assignment = _field(doc, "assignment", "", _integers)
+    if len(assignment) != len(taskset):
+        raise ModelError(f"assignment needs one entry per task, got {len(assignment)}")
+    return Partition.from_assignment(taskset, cores, assignment)
 
 
 def save_partition(partition: Partition, path: str | Path) -> None:
@@ -168,7 +239,7 @@ def save_partition(partition: Partition, path: str | Path) -> None:
 
 
 def load_partition(path: str | Path) -> Partition:
-    return partition_from_dict(json.loads(Path(path).read_text()))
+    return partition_from_dict(_read_json(path))
 
 
 # ----------------------------------------------------------------------
@@ -188,11 +259,7 @@ def _event_to_entry(event) -> dict[str, Any]:
     if event.tasks is not None:
         entry["tasks"] = list(event.tasks)
     if event.task is not None:
-        entry["task"] = {
-            "name": event.task.name,
-            "period": event.task.period,
-            "wcets": list(event.task.wcets),
-        }
+        entry["task"] = _task_to_entry(event.task)
     if event.task_index is not None:
         entry["task_index"] = event.task_index
     if event.core is not None:
@@ -209,60 +276,40 @@ def events_to_dict(events) -> dict[str, Any]:
     }
 
 
-def events_from_dict(data: dict[str, Any]):
-    """Inverse of :func:`events_to_dict` (validates format/version).
+def events_from_dict(data: object):
+    """Inverse of :func:`events_to_dict`.
 
-    Document-shape problems raise :class:`ModelError`; structurally
-    invalid events raise the event constructor's
-    :class:`~repro.types.SimulationError` with the offending field named.
+    Invalid values (unknown kind, negative duration, ...) raise the event
+    constructor's :class:`~repro.types.SimulationError`.
     """
     from repro.sched.events import SimEvent
 
-    if data.get("format") != _EVENTS_FORMAT:
-        raise ModelError(
-            f"not a {_EVENTS_FORMAT} document: format={data.get('format')!r}"
-        )
-    if data.get("version") != _VERSION:
-        raise ModelError(f"unsupported version {data.get('version')!r}")
-    entries = data.get("events")
-    if not isinstance(entries, list):
-        raise ModelError("malformed events document: 'events' must be a list")
+    doc = _open(data, _EVENTS_FORMAT)
     events = []
-    for pos, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ModelError(f"malformed event #{pos}: not an object")
-        try:
-            kind = entry["kind"]
-            if "time" in entry:
-                start = end = float(entry["time"])
-            else:
-                start = float(entry["start"])
-                end = float(entry.get("end", entry["start"]))
-            task = entry.get("task")
-            if task is not None:
-                task = MCTask(
-                    wcets=tuple(task["wcets"]),
-                    period=task["period"],
-                    name=task.get("name", ""),
-                )
-            events.append(
-                SimEvent(
-                    kind=kind,
-                    start=start,
-                    end=end,
-                    factor=entry.get("factor"),
-                    tasks=(
-                        tuple(entry["tasks"])
-                        if entry.get("tasks") is not None
-                        else None
-                    ),
-                    task=task,
-                    task_index=entry.get("task_index"),
-                    core=entry.get("core"),
-                )
+    for pos, entry in enumerate(_field(doc, "events", "", _list)):
+        where = f"event #{pos}"
+        entry = _object(entry, where, "entry")
+        if "time" in entry:
+            start = end = _field(entry, "time", where, _number)
+        else:
+            start = _field(entry, "start", where, _number)
+            end = _field(entry, "end", where, _number, start)
+        events.append(
+            SimEvent(
+                kind=_field(entry, "kind", where, _string),
+                start=start,
+                end=end,
+                factor=_field(entry, "factor", where, _number, None),
+                tasks=_field(entry, "tasks", where, _integers, None),
+                task=(
+                    _task_from_entry(entry["task"], f"{where} task")
+                    if "task" in entry
+                    else None
+                ),
+                task_index=_field(entry, "task_index", where, _integer, None),
+                core=_field(entry, "core", where, _integer, None),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelError(f"malformed event #{pos}: {exc}") from exc
+        )
     return tuple(events)
 
 
@@ -271,4 +318,4 @@ def save_events(events, path: str | Path) -> None:
 
 
 def load_events(path: str | Path):
-    return events_from_dict(json.loads(Path(path).read_text()))
+    return events_from_dict(_read_json(path))

@@ -115,7 +115,7 @@ class HttpServer:
             raw = await reader.readexactly(length)
             try:
                 payload = json.loads(raw)
-            except (json.JSONDecodeError, UnicodeDecodeError):
+            except (ValueError, RecursionError):  # syntax, encoding, nesting
                 await self._respond(writer, 400, {"error": "body is not JSON"})
                 return False
 

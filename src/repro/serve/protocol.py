@@ -2,23 +2,20 @@
 
 Requests reuse the on-disk document formats of :mod:`repro.model.io`
 (``repro-mc-taskset`` for ``/admit``, a single task entry for
-``/place``), so a task set saved by any other layer of the repro can be
-POSTed verbatim.  Parsing failures raise :class:`ProtocolError`, which
-carries the HTTP status the transport should answer with.
-
-Numeric fields must be finite JSON numbers: the model layer coerces
-with ``float()``, which would quietly admit ``"10"`` or ``true`` and
-raise a bare ``ValueError`` on ``"a"``, so the parsers type-check every
-task entry before the model sees it.
+``/place``) and decode them with its strict decoder, so a task set
+saved by any other layer of the repro can be POSTed verbatim and is
+held to the same type rules as ``repro-mc explain --taskset``.  Parsing
+failures raise :class:`ProtocolError`, which carries the HTTP status
+the transport should answer with; every decoder
+:class:`~repro.types.ModelError` becomes a ``400``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.model import MCTask, MCTaskSet
-from repro.model.io import taskset_from_dict
+from repro.model.io import _task_from_entry, taskset_from_dict
 from repro.partition.registry import available_schemes
 from repro.types import ModelError, ReproError
 
@@ -80,54 +77,12 @@ def _require_dict(payload: object) -> dict:
     return payload
 
 
-def _finite(value: object) -> bool:
-    """A finite JSON number; ``bool`` and numeric strings are not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond float range
-        return False
-
-
-def _check_task_entry(entry: object) -> None:
-    """Type-check one task entry; ``TypeError`` names the bad field."""
-    if not isinstance(entry, dict):
-        raise TypeError(f"a task entry must be an object, got {entry!r:.40}")
-    if "period" in entry and not _finite(entry["period"]):
-        raise TypeError(
-            f"period must be a finite number, got {entry['period']!r:.40}"
-        )
-    wcets = entry.get("wcets", [])
-    if not isinstance(wcets, list) or not all(_finite(c) for c in wcets):
-        raise TypeError(f"wcets must be a list of finite numbers, got {wcets!r:.60}")
-    if not isinstance(entry.get("name", ""), str):
-        raise TypeError(f"name must be a string, got {entry['name']!r:.40}")
-
-
-def _check_taskset_doc(doc: object) -> None:
-    """Type-check a ``repro-mc-taskset`` document's numeric fields."""
-    if not isinstance(doc, dict):
-        raise TypeError(f"the taskset must be an object, got {doc!r:.40}")
-    levels = doc.get("levels")
-    if isinstance(levels, bool) or not isinstance(levels, int):
-        raise TypeError(f"levels must be an integer, got {levels!r:.40}")
-    tasks = doc.get("tasks")
-    if not isinstance(tasks, list):
-        raise TypeError(f"tasks must be a list, got {tasks!r:.40}")
-    for entry in tasks:
-        _check_task_entry(entry)
-
-
 def parse_admit(payload: object) -> AdmitRequest:
     """Validate an ``/admit`` body: ``{taskset, cores, scheme?}``."""
     body = _require_dict(payload)
-    if "taskset" not in body:
-        raise ProtocolError("admit request needs a 'taskset' document")
     try:
-        _check_taskset_doc(body["taskset"])
-        taskset = taskset_from_dict(body["taskset"])
-    except (ModelError, TypeError) as exc:
+        taskset = taskset_from_dict(body.get("taskset"))
+    except ModelError as exc:
         raise ProtocolError(f"bad taskset: {exc}") from exc
     cores = body.get("cores")
     if not isinstance(cores, int) or isinstance(cores, bool) or cores < 1:
@@ -153,12 +108,7 @@ def parse_place(payload: object) -> PlaceRequest:
     if not isinstance(entry, dict):
         raise ProtocolError("place request needs a 'task' object")
     try:
-        _check_task_entry(entry)
-        task = MCTask(
-            wcets=tuple(entry["wcets"]),
-            period=entry["period"],
-            name=entry.get("name", ""),
-        )
-    except (KeyError, TypeError, ModelError) as exc:
+        task = _task_from_entry(entry)
+    except ModelError as exc:
         raise ProtocolError(f"bad task: {exc}") from exc
     return PlaceRequest(task=task)

@@ -18,7 +18,7 @@ from repro._version import __version__
 from repro.engine.spec import SchemeSpec
 from repro.gen.params import WorkloadConfig
 from repro.model import MCTask, MCTaskSet
-from repro.model.io import taskset_from_dict, taskset_to_dict
+from repro.model.io import _open, _read_json, taskset_from_dict, taskset_to_dict
 from repro.types import ReproError
 from repro.validate.fuzz import OracleFailure
 from repro.validate.oracles import Oracle, ValidationCase, get_oracle
@@ -169,15 +169,8 @@ def write_repro(doc: dict, directory: str | Path) -> Path:
 
 
 def load_repro(path: str | Path) -> dict:
-    """Load and validate a ``repro-mc-counterexample`` document."""
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != REPRO_FORMAT:
-        raise ReproError(
-            f"not a {REPRO_FORMAT} document: format={doc.get('format')!r}"
-        )
-    if doc.get("version") != REPRO_VERSION:
-        raise ReproError(f"unsupported repro version {doc.get('version')!r}")
-    return doc
+    """Load a ``repro-mc-counterexample`` document (format/version checked)."""
+    return _open(_read_json(path), REPRO_FORMAT)
 
 
 def check_repro(doc_or_path: dict | str | Path) -> list[str]:

@@ -13,6 +13,7 @@ from repro.engine import SweepArtifact
 from repro.experiments import sweeps
 from repro.model.io import MAX_LEVELS
 from repro.obs import load_manifest
+from tests import malformed
 
 SUBCOMMANDS = ["fig1", "fig2", "fig3", "fig4", "fig5", "tables", "all", "validate"]
 COMMANDS = [
@@ -235,11 +236,14 @@ class TestUsageErrors:
             (SIMULATE + ["--sets", "3"], "--sets"),
             (["explain", "--taskset", "t.json", "--metrics", "m.json"], "--metrics"),
             (["trace", "e.jsonl", "--jobs", "2"], "--jobs"),
+            (["fig1", "--bogus"], "--bogus"),
         ],
     )
     def test_flag_of_another_command_rejected(self, capsys, argv, flag):
         assert cli.main(argv) == 2
-        assert f"unrecognized arguments: {flag}" in _usage_error(capsys)
+        assert _usage_error(capsys).startswith(
+            f"repro-mc {argv[0]}: error: unrecognized arguments: {flag}"
+        )
 
     def test_bare_json_needs_a_directory_outside_explain(self, capsys):
         assert cli.main(["fig1", "--json"]) == 2
@@ -775,8 +779,16 @@ EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
 class TestTasksetLoaders:
-    """explain/simulate read task-set files through one decoder: a bad
+    """explain/simulate read task-set and event files through one decoder: a bad
     document exits 2 with one line, an unreadable path exits 1."""
+
+    DEMO_SIMULATE = [
+        "simulate",
+        "--taskset",
+        str(EXAMPLES / "taskset_demo.json"),
+        "--cores",
+        "2",
+    ]
 
     def _doc(self, path, levels):
         path.write_text(
@@ -806,6 +818,31 @@ class TestTasksetLoaders:
         assert cli.main(["explain", "--taskset", missing, "--cores", "2"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "cannot read" in err
+
+    @pytest.mark.parametrize("row", malformed.rows("task", "taskset", "bytes"))
+    def test_malformed_task_set_exits_2_with_one_line(self, tmp_path, capsys, row):
+        path = tmp_path / "ts.json"
+        path.write_bytes(malformed.file_bytes(row))
+        assert cli.main(["explain", "--taskset", str(path), "--cores", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"repro-mc explain: bad task set {path}: ")
+
+    @pytest.mark.parametrize("row", malformed.rows("events", "bytes"))
+    def test_malformed_event_script_exits_2_with_one_line(self, tmp_path, capsys, row):
+        path = tmp_path / "events.json"
+        path.write_bytes(malformed.file_bytes(row))
+        assert cli.main([*self.DEMO_SIMULATE, "--events", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"repro-mc simulate: bad event script {path}: ")
+
+    def test_unreadable_event_script_exits_1_with_one_line(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        assert cli.main([*self.DEMO_SIMULATE, "--events", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"repro-mc simulate: cannot read {missing}: ")
 
 
 class TestSimulateCommand:

@@ -31,6 +31,7 @@ from repro.sched.events import (
     wcet_burst,
 )
 from repro.types import ModelError, SimulationError
+from tests import malformed
 
 
 @pytest.fixture
@@ -203,3 +204,46 @@ class TestEventsRoundTrip:
         doc = json.loads(path.read_text())
         assert doc["format"] == "repro-mc-events"
         assert len(doc["events"]) == len(events)
+
+
+class TestMalformedDocuments:
+    """Every row of the shared table is a one-line ModelError."""
+
+    @pytest.mark.parametrize(
+        "row", malformed.rows("task", "taskset", "events", "partition")
+    )
+    def test_decoder_raises_model_error(self, row):
+        if row.kind == "task":
+            decodes = [
+                lambda: taskset_from_dict(malformed.taskset_doc([row.doc])),
+                lambda: events_from_dict(
+                    malformed.events_doc(malformed.arrival(row.doc))
+                ),
+            ]
+        else:
+            decoder = {
+                "taskset": taskset_from_dict,
+                "events": events_from_dict,
+                "partition": partition_from_dict,
+            }[row.kind]
+            decodes = [lambda: decoder(row.doc)]
+        for decode in decodes:
+            with pytest.raises(ModelError) as exc:
+                decode()
+            assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("row", malformed.rows("bytes"))
+    def test_loaders_raise_model_error_on_non_json(self, row, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(row.doc)
+        for load in (load_taskset, load_events, load_partition):
+            with pytest.raises(ModelError) as exc:
+                load(path)
+            assert "\n" not in str(exc.value)
+
+    def test_malformed_task_names_its_position_and_field(self):
+        doc = malformed.taskset_doc(
+            [{"period": 10, "wcets": [1]}, {"period": "10", "wcets": [1]}]
+        )
+        with pytest.raises(ModelError, match=r"task #1: period must be a finite"):
+            taskset_from_dict(doc)

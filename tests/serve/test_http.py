@@ -17,6 +17,7 @@ import pytest
 from repro.model.io import taskset_to_dict
 from repro.obs import load_manifest
 from repro.partition.registry import get_partitioner
+from tests import malformed
 from tests.conftest import random_taskset
 from tests.serve.conftest import DaemonHarness, task_entry
 
@@ -145,84 +146,13 @@ class TestErrorStatuses:
         status, body = run(main())
         assert status == 400 and "bad task" in body["error"]
 
-    @pytest.mark.parametrize(
-        "path, body",
-        [
-            ("/place", {"task": {"period": 10, "wcets": ["a"]}}),
-            ("/place", {"task": {"period": "10", "wcets": [1, 2]}}),
-            ("/place", {"task": {"period": True, "wcets": [1]}}),
-            ("/place", {"task": {"period": 10, "wcets": [1, False]}}),
-            ("/place", {"task": {"period": 10, "wcets": "12"}}),
-            ("/place", {"task": {"period": float("inf"), "wcets": [1]}}),
-            ("/place", {"task": {"period": 10**400, "wcets": [1]}}),
-            ("/place", {"task": {"period": 10, "wcets": [1], "name": {}}}),
-            ("/admit", {"taskset": 5, "cores": 2}),
-            (
-                "/admit",
-                {
-                    "taskset": {
-                        "format": "repro-mc-taskset",
-                        "version": 1,
-                        "levels": 2,
-                        "tasks": [{"period": 10, "wcets": ["a"]}],
-                    },
-                    "cores": 2,
-                },
-            ),
-            (
-                "/explain",
-                {
-                    "taskset": {
-                        "format": "repro-mc-taskset",
-                        "version": 1,
-                        "levels": 2.0,
-                        "tasks": [{"period": 10, "wcets": [1]}],
-                    },
-                    "cores": 2,
-                },
-            ),
-            (
-                "/admit",
-                {
-                    "taskset": {
-                        "format": "repro-mc-taskset",
-                        "version": 1,
-                        "levels": 2000,
-                        "tasks": [{"period": 10, "wcets": [1, 2]}] * 2,
-                    },
-                    "cores": 8,
-                },
-            ),
-            (
-                "/explain",
-                {
-                    "taskset": {
-                        "format": "repro-mc-taskset",
-                        "version": 1,
-                        "levels": 65,
-                        "tasks": [{"period": 10, "wcets": [1]}],
-                    },
-                    "cores": 2,
-                },
-            ),
-        ],
-        ids=[
-            "wcet-string",
-            "period-string",
-            "period-bool",
-            "wcet-bool",
-            "wcets-not-a-list",
-            "period-infinite",
-            "period-beyond-float",
-            "name-not-a-string",
-            "taskset-not-an-object",
-            "admit-wcet-string",
-            "explain-levels-float",
-            "admit-levels-huge",
-            "explain-levels-above-cap",
-        ],
-    )
-    def test_non_finite_or_non_numeric_fields_400(self, path, body):
+    @pytest.mark.parametrize("row", malformed.rows("task", "taskset"))
+    def test_non_finite_or_non_numeric_fields_400(self, row):
+        if row.kind == "task":
+            path, body = "/place", {"task": row.doc}
+        else:
+            path, body = row.endpoint, {"taskset": row.doc, "cores": 2}
+
         async def main():
             async with DaemonHarness() as h:
                 answer = await h.client.post(path, body)
@@ -232,6 +162,28 @@ class TestErrorStatuses:
         assert status == 400
         assert answer["error"].startswith(("bad task: ", "bad taskset: "))
         assert "\n" not in answer["error"]
+        assert health_status == 200 and health["ok"]
+
+    @pytest.mark.parametrize("row", malformed.rows("bytes"))
+    def test_body_that_is_not_json_400(self, row):
+        async def main():
+            async with DaemonHarness() as h:
+                reader, writer = await asyncio.open_connection(*h.daemon.bound)
+                writer.write(
+                    b"POST /place HTTP/1.1\r\nHost: t\r\nContent-Length: "
+                    + str(len(row.doc)).encode()
+                    + b"\r\nConnection: close\r\n\r\n"
+                    + row.doc
+                )
+                await writer.drain()
+                raw = await reader.read()
+                writer.close()
+                return raw, await h.client.get("/healthz")
+
+        raw, (health_status, health) = run(main())
+        head, _, data = raw.partition(b"\r\n\r\n")
+        assert int(head.split()[1]) == 400
+        assert "\n" not in json.loads(data)["error"]
         assert health_status == 200 and health["ok"]
 
     @pytest.mark.parametrize("declared", ["-5", "+5", "1_0", "five", ""])

@@ -4,6 +4,7 @@ import pytest
 
 from repro.model.io import MAX_LEVELS, taskset_to_dict
 from repro.serve.protocol import ProtocolError, parse_admit, parse_place
+from tests import malformed
 from tests.conftest import random_taskset
 
 import numpy as np
@@ -96,3 +97,18 @@ class TestParsePlace:
             parse_place(None)
         except ProtocolError as exc:
             assert exc.status == 400
+
+
+class TestSharedMalformedTable:
+    @pytest.mark.parametrize("row", malformed.rows("task", "taskset"))
+    def test_rejected_as_400(self, row):
+        if row.kind == "task":
+            parse, body, prefix = parse_place, {"task": row.doc}, "bad task: "
+        else:
+            parse, body = parse_admit, {"taskset": row.doc, "cores": 2}
+            prefix = "bad taskset: "
+        with pytest.raises(ProtocolError) as exc:
+            parse(body)
+        assert exc.value.status == 400
+        assert str(exc.value).startswith(prefix)
+        assert "\n" not in str(exc.value)

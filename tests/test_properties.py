@@ -63,6 +63,24 @@ def mc_tasksets(draw, min_tasks=1, max_tasks=8, levels=4):
     return MCTaskSet(tasks, levels=levels)
 
 
+#: Any JSON value, or :data:`_ABSENT` for a field left out.
+_ABSENT = object()
+field_values = st.just(_ABSENT) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+task_fields = ("name", "period", "wcets")
+
+
+def _set_field(obj: dict, key: str, value) -> None:
+    if value is _ABSENT:
+        obj.pop(key, None)
+    else:
+        obj[key] = value
+
+
 @st.composite
 def dual_utilizations(draw):
     return DualUtilizations(
@@ -476,3 +494,73 @@ class TestSerializationProperties:
         from repro.model import taskset_from_dict, taskset_to_dict
 
         assert taskset_from_dict(taskset_to_dict(ts)) == ts
+
+    # Any JSON value (or none at all) in any field of a task, task set or
+    # event document either decodes or raises a typed error: ModelError
+    # from the decoder and the task model, or SimulationError from an
+    # event whose well-typed values are invalid.  Never another type.
+    @given(
+        field=st.sampled_from(
+            [("taskset", f) for f in ("format", "version", "levels", "tasks")]
+            + [("task", f) for f in task_fields]
+        ),
+        value=field_values,
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_any_json_value_in_a_taskset_field(self, field, value):
+        from repro.model import taskset_from_dict
+        from repro.types import ModelError
+
+        doc = {
+            "format": "repro-mc-taskset",
+            "version": 1,
+            "levels": 2,
+            "tasks": [
+                {"name": "a", "period": 10.0, "wcets": [1.0, 2.0]},
+                {"name": "b", "period": 25, "wcets": [4]},
+            ],
+        }
+        where, key = field
+        _set_field(doc if where == "taskset" else doc["tasks"][0], key, value)
+        try:
+            taskset_from_dict(doc)
+        except ModelError:
+            pass
+
+    @given(
+        position=st.integers(min_value=0, max_value=5),
+        key=st.sampled_from(
+            ("kind", "time", "start", "end", "factor", "tasks", "task")
+            + ("task_index", "core")
+            + tuple(f"task.{f}" for f in task_fields)
+        ),
+        value=field_values,
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_any_json_value_in_an_event_field(self, position, key, value):
+        from repro.model import events_from_dict
+        from repro.types import ModelError, SimulationError
+
+        events = [
+            {"kind": "wcet_burst", "start": 1.0, "end": 5.0, "factor": 2.5},
+            {"kind": "mode_recovery", "start": 0, "end": 3},
+            {
+                "kind": "task_arrival",
+                "time": 2.0,
+                "task": {"name": "x", "period": 10.0, "wcets": [1.0]},
+            },
+            {"kind": "task_departure", "time": 4.0, "task_index": 0},
+            {"kind": "core_failure", "time": 3.0, "core": 1},
+            {"kind": "core_hotplug", "time": 6.0, "core": 1},
+        ]
+        entry = events[position]
+        if key.startswith("task."):
+            entry, key = events[2]["task"], key[len("task.") :]
+        _set_field(entry, key, value)
+        try:
+            events_from_dict(
+                {"format": "repro-mc-events", "version": 1, "events": events}
+            )
+        except (ModelError, SimulationError):
+            pass
+
