@@ -221,7 +221,7 @@ def _reduce_available(avail: np.ndarray, rule: str) -> np.ndarray:
     ok = avail >= -EPS
     if rule == "max":
         out = np.where(ok, 1.0 - avail, -np.inf).max(axis=1)
-        return np.where(np.isneginf(out), INFEASIBLE, out)
+        return np.where(out == -np.inf, INFEASIBLE, out)
     # rule == "min": the all-failed identity element is +inf, which is
     # already the INFEASIBLE marker.
     return np.where(ok, 1.0 - avail, np.inf).min(axis=1)

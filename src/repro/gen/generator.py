@@ -12,7 +12,12 @@ The procedure, for a :class:`~repro.gen.params.WorkloadConfig`:
    ``c_i(k) = c_i(k-1) * (1 + IFC)`` for ``k = 2..l_i``.
 
 Everything is vectorized with NumPy (hot loop of the experiment
-harness); the per-task Python objects are only materialized at the end.
+harness), and the set is built straight from the arrays with
+:meth:`~repro.model.MCTaskSet.from_arrays`: no per-task Python object
+is created unless a caller later iterates the set.  Row ``i`` of the
+WCET matrix is ``c_i(1) * (1 + IFC) ** arange(K)``, the same float
+operations per element as building each task's ``l_i`` WCETs one at a
+time, so the sets are bit-identical to a per-task build.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gen.params import WorkloadConfig
-from repro.model.task import MCTask
 from repro.model.taskset import MCTaskSet
 from repro.types import GenerationError
 
@@ -76,15 +80,8 @@ def generate_taskset(
             np.arange(1, config.levels + 1), size=n, p=weights / weights.sum()
         )
     growth = 1.0 + config.ifc
-
-    tasks = []
-    for i in range(n):
-        li = int(crits[i])
-        wcets = c1[i] * growth ** np.arange(li)
-        tasks.append(
-            MCTask(wcets=tuple(wcets), period=float(periods[i]), name=f"tau_{i+1}")
-        )
-    return MCTaskSet(tasks, levels=config.levels)
+    wcets = c1[:, None] * growth ** np.arange(config.levels)
+    return MCTaskSet.from_arrays(wcets, periods, crits, config.levels)
 
 
 def generate_batch(

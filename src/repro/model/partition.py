@@ -273,7 +273,7 @@ class Partition:
                 f" {self._assignment[task_index]}"
             )
         self._assignment[task_index] = core
-        crit = self._taskset[task_index].criticality
+        crit = int(self._taskset.criticalities[task_index])
         # The base array is writable only inside this window.
         self._level_mats.setflags(write=True)
         try:
@@ -372,7 +372,7 @@ class Partition:
                 f"extended task set must keep K={old.levels}, "
                 f"got K={taskset.levels}"
             )
-        if len(taskset) < n or list(taskset)[:n] != list(old):
+        if len(taskset) < n or taskset.tasks[:n] != old.tasks:
             raise PartitionError(
                 "extended task set must contain the current tasks as a prefix"
             )

@@ -44,7 +44,7 @@ class _ClassicalDecreasing(Partitioner):
             state["loads"] = loads
         target = self._pick(task_index, partition, loads)
         if target is not None:
-            loads[target] += partition.taskset[task_index].max_utilization
+            loads[target] += partition.taskset.max_utilizations[task_index]
         return target
 
     def _pick(

@@ -77,7 +77,7 @@ class FPPartitioner(Partitioner):
             candidate = partition.tasks_on(m) + [task_index]
             subset = partition.taskset.subset(candidate)
             if audsley_assignment(subset) is not None:
-                loads[m] += partition.taskset[task_index].max_utilization
+                loads[m] += partition.taskset.max_utilizations[task_index]
                 return m
         return None
 

@@ -36,7 +36,7 @@ class HybridPartitioner(Partitioner):
         self.high_threshold = high_threshold
 
     def order_tasks(self, taskset: MCTaskSet) -> list[int]:
-        umax = np.array([t.max_utilization for t in taskset])
+        umax = taskset.max_utilizations
         crit = taskset.criticalities
         high = crit >= self.high_threshold
         # Primary key: high group first.  Secondary: decreasing umax.
@@ -50,12 +50,12 @@ class HybridPartitioner(Partitioner):
         if loads is None:
             loads = np.zeros(partition.cores, dtype=np.float64)
             state["loads"] = loads
-        task = partition.taskset[task_index]
-        if task.criticality >= self.high_threshold:
+        taskset = partition.taskset
+        if taskset.criticalities[task_index] >= self.high_threshold:
             core_order = np.argsort(loads, kind="stable")  # WFD
         else:
             core_order = np.arange(partition.cores)  # FFD
         target = first_feasible_core(partition, task_index, core_order)
         if target is not None:
-            loads[target] += task.max_utilization
+            loads[target] += taskset.max_utilizations[task_index]
         return target

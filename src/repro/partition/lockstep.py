@@ -17,7 +17,8 @@ per lane.  Each step:
 3. applies each scheme's rule, vectorized across lanes — FFD: first
    feasible core; BFD/WFD: feasible core with the highest/lowest load;
    Hybrid: WFD at or above its threshold, FFD below; CA-TPA: the
-   loaded-core Λ override or the min-ΔU scan with :data:`TIE_EPS`;
+   loaded-core Λ override or the min-ΔU pick (one ``argmin``; only
+   rows with a near tie replay the :data:`TIE_EPS` scan);
 4. **scatters** the assignment into the ``(L, M, K, K)`` level matrices,
    the per-core counts, loads and Eq.-(9) utilizations.
 
@@ -150,6 +151,7 @@ class _LaneGroup:
             [np.inf if p.alpha is None else p.alpha for p in catpa], dtype=float
         )
         self.rule_min = np.array([p.eq9_rule == "min" for p in catpa], dtype=bool)
+        self.any_rule_min = bool(self.rule_min.any())
         # Classical rule per lane; Hybrid switches rule on the task's level.
         classical = [p for _, p in self.lanes[self.n_catpa :]]
         sign = {
@@ -159,14 +161,14 @@ class _LaneGroup:
             HybridPartitioner: _FIRST_FIT,
         }
         self.sign = np.array([sign[type(p)] for p in classical])
-        self.hybrid_threshold = np.array(
+        # Worst fit from this criticality on; above K for non-Hybrid lanes.
+        self.wfd_from = np.array(
             [
-                p.high_threshold if type(p) is HybridPartitioner else 0
+                p.high_threshold if type(p) is HybridPartitioner else self.levels + 1
                 for p in classical
             ],
             dtype=np.int64,
         )
-        self.is_hybrid = self.hybrid_threshold > 0
 
     # ------------------------------------------------------------------
     def run(self) -> list[PartitionResult]:
@@ -179,19 +181,30 @@ class _LaneGroup:
         failed_step = np.full(n_lanes, -1, dtype=np.int64)
         alive = np.ones(n_lanes, dtype=bool)
 
+        # The active lanes change only when a lane fails or runs out of
+        # tasks, so their per-lane knobs are gathered only then.
+        ends = set(self.sizes.tolist())
+        regroup = True
         for t in range(self.util.shape[1]):
-            active = np.flatnonzero(alive & (self.sizes > t))
-            if active.size == 0:
-                break
-            n_act = active.size
-            nc = int(np.searchsorted(active, self.n_catpa))
+            if regroup:
+                active = np.flatnonzero(alive & (self.sizes > t))
+                if active.size == 0:
+                    break
+                n_act = active.size
+                nc = int(np.searchsorted(active, self.n_catpa))
+                cat, cls = active[:nc], active[nc:]
+                alpha = self.alpha[cat]
+                sign = self.sign[cls - self.n_catpa]
+                wfd_from = self.wfd_from[cls - self.n_catpa]
+                lane_index = np.arange(n_act)
+            regroup = t + 1 in ends
             row = self.util[active, t]
             crit = self.crit[active, t]
             # Gather: every active lane's (M, K, K) candidate stack.  The
             # whole utilization row goes into row l_i - 1; its entries
             # above l_i are zero, so this equals the :l_i prefix add.
             cand = mats[active]
-            cand[np.arange(n_act), :, crit - 1, :] += row[:, None, :]
+            cand[lane_index, :, crit - 1, :] += row[:, None, :]
             flat = cand.reshape(n_act * m, k, k)
 
             # One kernel call: all CA-TPA rows + classical rows failing Eq. (4).
@@ -209,46 +222,43 @@ class _LaneGroup:
             target = np.empty(n_act, dtype=np.int64)
             placed = np.empty(n_act, dtype=bool)
             if nc:
-                cat = active[:nc]
                 new = self._eq15(avail[:split], cat).reshape(nc, m)
                 target[:nc], placed[:nc], new_util = self._catpa_rule(
-                    new, utils[cat], counts[cat], cat
+                    new, utils[cat], counts[cat], alpha
                 )
+                # A failed CA-TPA lane's utilizations are never read again.
+                utils[cat, target[:nc]] = new_util
             if n_act > nc:
                 if hard.size:
                     feasible[hard] = (avail[split:] >= -EPS).any(axis=1)
-                cls = active[nc:] - self.n_catpa
-                sign = np.where(
-                    self.is_hybrid[cls] & (crit[nc:] >= self.hybrid_threshold[cls]),
-                    _WORST_FIT,
-                    self.sign[cls],
-                )
+                lane_sign = np.where(crit[nc:] >= wfd_from, _WORST_FIT, sign)
                 feasible = feasible.reshape(n_act - nc, m)
-                key = np.where(feasible, loads[active[nc:]] * sign[:, None], np.inf)
+                key = np.where(feasible, loads[cls] * lane_sign[:, None], np.inf)
                 target[nc:] = key.argmin(axis=1)
                 placed[nc:] = feasible.any(axis=1)
 
             # Scatter: assign every placed lane's task in one pass.
-            failed = active[~placed]
-            alive[failed] = False
-            failed_step[failed] = t
-            lanes_ok, cores_ok = active[placed], target[placed]
-            mats[lanes_ok, cores_ok, crit[placed] - 1, :] += row[placed]
-            counts[lanes_ok, cores_ok] += 1
-            loads[lanes_ok, cores_ok] += self.umax[lanes_ok, t]
-            if nc:
-                ok = placed[:nc]
-                utils[active[:nc][ok], target[:nc][ok]] = new_util[ok]
-            targets[lanes_ok, t] = cores_ok
+            lanes_ok = active
+            if not placed.all():
+                failed = active[~placed]
+                alive[failed] = False
+                failed_step[failed] = t
+                regroup = True
+                lanes_ok, target = active[placed], target[placed]
+                crit, row = crit[placed], row[placed]
+            mats[lanes_ok, target, crit - 1, :] += row
+            counts[lanes_ok, target] += 1
+            loads[lanes_ok, target] += self.umax[lanes_ok, t]
+            targets[lanes_ok, t] = target
 
         return self._results(mats, counts, utils, targets, failed_step)
 
     # ------------------------------------------------------------------
     def _eq15(self, avail: np.ndarray, cat: np.ndarray) -> np.ndarray:
         """Eq.-(15) probe values of the CA-TPA rows, per lane's Eq.-(9) rule."""
-        rule_min = np.repeat(self.rule_min[cat], self.cores)
-        if not rule_min.any():
+        if not self.any_rule_min:
             return _reduce_available(avail, "max")
+        rule_min = np.repeat(self.rule_min[cat], self.cores)
         out = np.empty(avail.shape[0])
         out[~rule_min] = _reduce_available(avail[~rule_min], "max")
         out[rule_min] = _reduce_available(avail[rule_min], "min")
@@ -259,31 +269,46 @@ class _LaneGroup:
         new: np.ndarray,
         utils: np.ndarray,
         counts: np.ndarray,
-        cat: np.ndarray,
+        alpha: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CA-TPA's pick per lane: ``(core, placed, new core utilization)``."""
-        finite = np.isfinite(new)
-        # Eq. (16) over the loaded cores; idle cores are excluded.
-        loaded = counts > 0
-        u_sys = np.where(loaded, utils, -np.inf).max(axis=1)
-        u_min = np.where(loaded, utils, np.inf).min(axis=1)
-        with np.errstate(invalid="ignore"):
-            imbalance = (u_sys - u_min) / u_sys
-            override = (u_sys > EPS) & (imbalance > self.alpha[cat])
-        # Override: feasible core with the lowest current utilization.
-        least_loaded = np.where(finite, utils, np.inf).argmin(axis=1)
-        # Min increment: Algorithm 1's sequential scan, one column at a time.
-        best = np.full(new.shape[0], -1, dtype=np.int64)
-        best_increment = np.full(new.shape[0], np.inf)
-        for core in range(new.shape[1]):
-            increment = new[:, core] - utils[:, core]
-            better = finite[:, core] & (increment < best_increment - TIE_EPS)
-            best = np.where(better, core, best)
-            best_increment = np.where(better, increment, best_increment)
-        target = np.where(override, least_loaded, best)
-        placed = finite.any(axis=1)
-        target = np.where(placed, target, 0)
-        return target, placed, new[np.arange(new.shape[0]), target]
+        """CA-TPA's pick per lane: ``(core, placed, new core utilization)``.
+
+        ``new`` is finite on feasible cores and ``inf`` elsewhere, so
+        ``new - utils`` already is the increment with infeasible cores
+        ruled out.
+        """
+        rows = np.arange(new.shape[0])
+        # Min increment: one argmin over the feasible cores.  It picks what
+        # Algorithm 1's TIE_EPS scan picks unless another increment lies
+        # within the tie window above the minimum without equalling it;
+        # only those rows replay the scan.  The window is widened to
+        # 2 * TIE_EPS so float rounding in the scan's ``best - TIE_EPS``
+        # cannot matter (increments are utilizations, far above an ulp).
+        increment = new - utils
+        best = increment.argmin(axis=1)
+        lowest = increment[rows, best][:, None]
+        near = (increment > lowest) & (increment <= lowest + 2 * TIE_EPS)
+        if near.any():
+            near_tie = near.any(axis=1)
+            best[near_tie] = _scan_min_increment(increment[near_tie])
+        placed = lowest[:, 0] < np.inf
+        # Eq. (16) over the loaded cores; idle cores are excluded.  Core
+        # utilizations are >= 0 and idle cores hold exactly 0, so the
+        # largest loaded one is the row maximum (u_sys <= EPS whenever
+        # no core is loaded, and the override needs u_sys > EPS).
+        u_sys = utils.max(axis=1)
+        u_min = np.where(counts > 0, utils, np.inf).min(axis=1)
+        override = u_sys > EPS
+        imbalance = np.divide(
+            u_sys - u_min, u_sys, out=np.zeros_like(u_sys), where=override
+        )
+        override &= imbalance > alpha
+        if override.any():
+            # Override: feasible core with the lowest current utilization.
+            least_loaded = np.where(new < np.inf, utils, np.inf).argmin(axis=1)
+            best = np.where(override, least_loaded, best)
+        target = np.where(placed, best, 0)
+        return target, placed, new[rows, target]
 
     def _results(
         self,
@@ -332,3 +357,20 @@ class _LaneGroup:
                 _core_utils=core_utils,
             )
         return out  # type: ignore[return-value]
+
+
+def _scan_min_increment(increment: np.ndarray) -> np.ndarray:
+    """Algorithm 1's sequential min-increment scan, one core at a time.
+
+    ``increment`` is ``(rows, M)`` with ``inf`` on infeasible cores; a
+    core replaces the best so far only when it is lower by more than
+    :data:`~repro.partition.catpa.TIE_EPS`.  Returns the chosen core per
+    row (-1 when no core is feasible).
+    """
+    best = np.full(increment.shape[0], -1, dtype=np.int64)
+    best_increment = np.full(increment.shape[0], np.inf)
+    for core in range(increment.shape[1]):
+        better = increment[:, core] < best_increment - TIE_EPS
+        best = np.where(better, core, best)
+        best_increment = np.where(better, increment[:, core], best_increment)
+    return best

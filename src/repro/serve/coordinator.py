@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.analysis.explain import explain_admission, place_rejection_reason
 from repro.metrics.core import imbalance_factor
-from repro.model import MCTaskSet, Partition
+from repro.model import MCTask, MCTaskSet, Partition
 from repro.obs.live import LiveMetrics
 from repro.obs.runtime import OBS, current_span_id, record_span, span
 from repro.partition.backend import get_backend
@@ -236,13 +236,12 @@ class Coordinator:
             return
 
         old = state.partition
-        old_tasks = list(old.taskset) if old is not None else []
         new_tasks = [item.request.task for item in ready]
-        grown = MCTaskSet(old_tasks + new_tasks, levels=state.levels)
+        grown = self._grow(old, new_tasks)
         part = old.extended(grown) if old is not None else Partition(
             grown, state.cores
         )
-        base = len(old_tasks)
+        base = len(grown) - len(new_tasks)
         idx = list(range(base, base + len(ready)))
 
         place_start = time.perf_counter()
@@ -285,13 +284,12 @@ class Coordinator:
 
         accepted = [i for i, c in zip(idx, decisions) if c is not None]
         if len(accepted) < len(ready):
-            # Drop rejected tasks from the live set: rebuild the grown
-            # task set from the accepted suffix only.  Decisions are
+            # Drop rejected tasks from the live set: append only the
+            # accepted ones to the resident task set.  Decisions are
             # unaffected — rejected tasks were never assigned, so they
             # contributed nothing to any level matrix.
             if accepted:
-                kept = old_tasks + [grown[i] for i in accepted]
-                final_ts = MCTaskSet(kept, levels=state.levels)
+                final_ts = self._grow(old, [new_tasks[i - base] for i in accepted])
                 final = (
                     old.extended(final_ts)
                     if old is not None
@@ -362,6 +360,12 @@ class Coordinator:
     @staticmethod
     def _raise(exc: Exception) -> None:
         raise exc
+
+    def _grow(self, old: Partition | None, tasks: list[MCTask]) -> MCTaskSet:
+        """The resident task set with ``tasks`` appended as new rows."""
+        if old is None:
+            return MCTaskSet(tasks, levels=self.state.levels)
+        return old.taskset.extended(tasks)
 
     @staticmethod
     def _best_core(row: np.ndarray) -> int | None:

@@ -1,5 +1,7 @@
 """Tests for the figure sweep definitions."""
 
+from unittest import mock
+
 import pytest
 
 from repro.experiments import (
@@ -10,6 +12,7 @@ from repro.experiments import (
     figure5_levels,
     run_sweep,
 )
+from repro.model import MCTask
 
 
 class TestDefinitions:
@@ -70,3 +73,19 @@ class TestRunSweep:
         series = tiny_result.series("sched_ratio")
         for scheme, values in series.items():
             assert values[0] >= values[1], scheme
+
+
+def test_lockstep_sweep_builds_no_task_objects():
+    # Task sets stay arrays from the generator to the probe kernel: an
+    # uninstrumented jobs=1 sweep never constructs one MCTask.
+    calls = []
+    post_init = MCTask.__post_init__
+
+    def counting(task):
+        calls.append(task)
+        post_init(task)
+
+    with mock.patch.object(MCTask, "__post_init__", counting):
+        artifact = run_sweep(figure1_nsu(), sets=1, seed=7, jobs=1)
+    assert len(artifact.rows) == 5
+    assert calls == []

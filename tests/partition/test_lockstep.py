@@ -10,6 +10,8 @@ Hybrid knob the registry exposes.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,8 @@ from repro.engine import Engine, ExperimentSpec, PointSpec, SchemeSpec
 from repro.engine.spec import default_schemes
 from repro.gen import WorkloadConfig, generate_taskset
 from repro.model import MCTask, MCTaskSet
-from repro.partition import get_partitioner
+from repro.partition import get_partitioner, lockstep
+from repro.partition.catpa import TIE_EPS
 from repro.partition.lockstep import lockstep_supported, partition_lockstep
 from repro.types import PartitionError
 from tests.conftest import random_taskset
@@ -148,6 +151,86 @@ class TestLockstepEqualsSequential:
         assert_same_result(result, ref)
         with pytest.raises(ValueError):
             result.partition.level_matrices()[0, 0, 0] = 1.0
+
+
+def _utilization_set(rows: list[list[float]], levels: int) -> MCTaskSet:
+    return MCTaskSet(
+        [MCTask.from_utilizations(u, period=10.0) for u in rows], levels=levels
+    )
+
+
+#: CA-TPA lanes (tasks, K, Eq.-(9) rule) whose min-increment step meets a
+#: near tie: two feasible cores' increments differ by less than TIE_EPS,
+#: and the later core is the lower one, so a plain argmin would disagree
+#: with Algorithm 1's scan.  The first lane's gap is float noise (one
+#: ulp); the twins in the others differ by 4e-10 and give gaps of about
+#: 3e-10.
+NEAR_TIE_LANES = [
+    ([[0.2], [0.1]], 1, "max"),
+    ([[0.11, 0.15 + 4e-10], [0.11, 0.15], [0.1, 0.14]], 2, "min"),
+    ([[0.15, 0.21 + 4e-10], [0.15, 0.21], [0.16], [0.11, 0.13]], 2, "max"),
+]
+
+
+class TestNearTies:
+    def _run(self, lanes, cores):
+        """Lockstep results plus, per scan fallback row, (gap, scan != argmin)."""
+        seen: list[tuple[float, bool]] = []
+        scan = lockstep._scan_min_increment
+
+        def spy(increment):
+            picked = scan(increment)
+            lowest = increment.min(axis=1, keepdims=True)
+            for row, pick, low in zip(increment, picked, lowest):
+                gap = row - low
+                gap = gap[np.isfinite(gap) & (gap > 0.0)]
+                seen.append((float(gap.min()), bool(pick != row.argmin())))
+            return picked
+
+        with mock.patch.object(lockstep, "_scan_min_increment", spy):
+            results = partition_lockstep(lanes, cores)
+        return results, seen
+
+    def test_near_ties_resolve_as_the_sequential_scan(self):
+        lanes = [
+            (
+                _utilization_set(rows, levels),
+                get_partitioner("ca-tpa", alpha=None, eq9_rule=rule),
+            )
+            for rows, levels, rule in NEAR_TIE_LANES
+        ]
+        results, seen = self._run(lanes, 2)
+        for (taskset, partitioner), result in zip(lanes, results):
+            assert_same_result(result, partitioner.partition(taskset, 2))
+        # The fallback ran, and on rows where the argmin alone was wrong:
+        # one with a float-noise gap and one with a gap near 3e-10.
+        overruled = [gap for gap, differs in seen if differs]
+        assert any(gap < 1e-15 for gap in overruled)
+        assert any(1e-11 < gap < TIE_EPS for gap in overruled)
+
+    def test_near_ties_in_generated_lanes(self):
+        rng = np.random.default_rng(5)
+        config = WorkloadConfig(cores=4, levels=3, nsu=0.6, task_count_range=(20, 40))
+        lanes = [
+            (generate_taskset(config, rng), get_partitioner("ca-tpa", eq9_rule=rule))
+            for rule in ("max", "min")
+            for _ in range(4)
+        ]
+        results, seen = self._run(lanes, 4)
+        assert seen
+        for (taskset, partitioner), result in zip(lanes, results):
+            assert_same_result(result, partitioner.partition(taskset, 4))
+
+    def test_exact_idle_core_ties_keep_the_first_core(self):
+        # Identical tasks: every idle core offers exactly the same
+        # increment, which the argmin resolves to the lowest index with
+        # no scan at all.
+        taskset = _utilization_set([[0.1, 0.2]] * 3, 2)
+        partitioner = get_partitioner("ca-tpa", alpha=None)
+        (result,), seen = self._run([(taskset, partitioner)], 4)
+        assert_same_result(result, partitioner.partition(taskset, 4))
+        assert result.assignment[result.order[0]] == 0
+        assert seen == []
 
 
 class TestDispatch:

@@ -30,7 +30,7 @@ from repro.analysis.dual import DualUtilizations, is_feasible_classic
 from repro.metrics import imbalance_factor
 from repro.model import MCTask, MCTaskSet, Partition
 from repro.partition.backend import BatchBackend, IncrementalBackend
-from repro.types import EPS, fits_unit_capacity
+from repro.types import EPS, ModelError, fits_unit_capacity
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -136,6 +136,127 @@ class TestModelProperties:
                 t.utilization(k) for t in ts if t.criticality >= k
             )
             assert ts.total_utilization(k) == abs_approx(expected)
+
+
+@st.composite
+def taskset_arrays(draw):
+    """``(wcets, periods, crits, levels)`` with at most one invalid row.
+
+    Valid rows have positive non-decreasing WCETs in their first ``l_i``
+    columns.  One drawn row may be corrupted: empty (``l_i = 0``), a
+    non-finite or non-positive period or WCET, or decreasing WCETs; the
+    drawn ``levels`` may also fall below the largest criticality.
+    """
+    n = draw(st.integers(min_value=0, max_value=6))
+    width = draw(st.integers(min_value=1, max_value=5))
+    positive = st.floats(min_value=0.01, max_value=100.0)
+    bad = st.sampled_from([0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    crits = np.array(
+        draw(st.lists(st.integers(1, width), min_size=n, max_size=n)), dtype=np.int64
+    )
+    rows = [
+        sorted(draw(st.lists(positive, min_size=width, max_size=width)))
+        for _ in range(n)
+    ]
+    wcets = np.array(rows).reshape(n, width)
+    periods = np.array(draw(st.lists(positive, min_size=n, max_size=n)))
+    corrupt = draw(
+        st.sampled_from(["none", "none", "empty", "period", "wcet", "decreasing"])
+    )
+    if n and corrupt != "none":
+        i = draw(st.integers(0, n - 1))
+        if corrupt == "empty":
+            crits[i] = 0
+        elif corrupt == "period":
+            periods[i] = draw(bad)
+        elif corrupt == "wcet":
+            wcets[i, draw(st.integers(0, crits[i] - 1))] = draw(bad)
+        elif crits[i] >= 2:
+            k = draw(st.integers(1, crits[i] - 1))
+            wcets[i, k] = wcets[i, k - 1] / 2.0
+    levels = draw(st.none() | st.integers(min_value=1, max_value=width + 1))
+    return wcets, periods, crits, levels
+
+
+def _per_task_set(wcets, periods, crits, levels) -> MCTaskSet:
+    """The object path: one validated MCTask per row, then the set."""
+    tasks = [
+        MCTask(tuple(wcets[i, : crits[i]]), periods[i], name=f"tau_{i + 1}")
+        for i in range(len(periods))
+    ]
+    return MCTaskSet(tasks, levels=levels)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except ModelError as exc:
+        return ModelError, str(exc)
+
+
+def assert_same_taskset(got: MCTaskSet, ref: MCTaskSet) -> None:
+    assert got == ref
+    assert hash(got) == hash(ref)
+    assert got.levels == ref.levels
+    for attr in (
+        "wcet_matrix",
+        "periods",
+        "utilization_matrix",
+        "criticalities",
+        "max_utilizations",
+    ):
+        assert getattr(got, attr).tobytes() == getattr(ref, attr).tobytes(), attr
+    assert list(got) == list(ref)
+    assert [t.name for t in got] == [t.name for t in ref]
+    assert got.hyperperiod() == ref.hyperperiod()
+
+
+class TestArrayNativeTaskSets:
+    @settings(max_examples=300)
+    @given(taskset_arrays())
+    def test_from_arrays_equals_per_task_build(self, arrays):
+        got = _outcome(MCTaskSet.from_arrays, *arrays)
+        ref = _outcome(_per_task_set, *arrays)
+        if isinstance(ref, MCTaskSet):
+            assert isinstance(got, MCTaskSet)
+            assert_same_taskset(got, ref)
+        else:
+            # Same error type and the same words as the per-task path.
+            assert got == ref
+
+    @given(
+        taskset_arrays(),
+        st.lists(mc_tasks(max_levels=1), min_size=1, max_size=4),
+        st.lists(st.text(max_size=4), min_size=4, max_size=4),
+    )
+    def test_extended_appends_rows(self, arrays, new, names):
+        wcets, periods, crits, _ = arrays
+        ts = _outcome(MCTaskSet.from_arrays, wcets, periods, crits)
+        if not isinstance(ts, MCTaskSet):
+            return
+        new = [
+            MCTask(wcets=t.wcets, period=t.period, name=name)
+            for t, name in zip(new, names)
+        ]
+        # Extend a set whose tasks are not materialized yet, then again.
+        grown = ts.extended(new)
+        assert_same_taskset(grown, MCTaskSet(list(ts) + new, levels=ts.levels))
+        assert_same_taskset(ts.extended(new), grown)
+        # The appended objects are the caller's own.
+        assert all(a is b for a, b in zip(grown.tasks[len(ts):], new))
+
+    @given(taskset_arrays(), st.randoms())
+    def test_subset_and_with_levels_slice_the_arrays(self, arrays, rnd):
+        wcets, periods, crits, _ = arrays
+        ts = _outcome(MCTaskSet.from_arrays, wcets, periods, crits)
+        if not isinstance(ts, MCTaskSet):
+            return
+        idx = rnd.sample(range(len(ts)), rnd.randint(1, len(ts)))
+        sub = ts.subset(idx)
+        assert_same_taskset(sub, MCTaskSet([ts[i] for i in idx], levels=ts.levels))
+        wider = ts.with_levels(ts.levels + 1)
+        assert_same_taskset(wider, MCTaskSet(list(ts), levels=ts.levels + 1))
+        assert_same_taskset(wider.with_levels(ts.levels), ts)
 
 
 # ----------------------------------------------------------------------
